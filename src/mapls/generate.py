@@ -116,6 +116,9 @@ def build_generated_instance(
 ) -> Instance:
     """Build a generated-family instance straight from its seed."""
     params = params or {}
+    if family in (Family.RANDOM, Family.PLANTED) and n**s > 2**64:
+        # LazyRandom keys weights by a uint64 rank, which would wrap and alias
+        raise ValueError(f"random weights need n^s <= 2^64, got n={n} s={s}")
     stream = SplitMix64(seed)
 
     if family == Family.RANDOM:

@@ -319,10 +319,58 @@ def _swap_masks(s: int, max_size: int) -> np.ndarray:
     return masks
 
 
+def _pair_minima(inst: Instance, vecs: np.ndarray, ci: np.ndarray, mi: np.ndarray,
+                 masks: np.ndarray) -> np.ndarray:
+    """min over D in masks of w(swap(vecs[ci], vecs[mi], D)) for each pair
+    (ci[k], mi[k]); vecs is (n, s). Evaluated in blocks of at most
+    _BATCH_ROWS candidate vectors."""
+    s, u = inst.s, len(masks)
+    out = np.empty(len(ci))
+    step = max(1, _BATCH_ROWS // u)
+    for lo in range(0, len(ci), step):
+        # mask-major layout: the min over masks reduces along the outer axis
+        cand = np.where(masks[:, None, :], vecs[mi[lo : lo + step]], vecs[ci[lo : lo + step]])
+        out[lo : lo + step] = inst.weight_batch(cand.reshape(-1, s)).reshape(u, -1).min(axis=0)
+    return out
+
+
+def _refresh_pair_minima(inst, a, pair_min, old_perms, masks) -> int:
+    """Recompute, in one batch, the table rows and columns of the rows of a
+    that differ from old_perms; returns the number of weights evaluated."""
+    n = inst.n
+    same = (a.perms == old_perms).all(axis=0)
+    changed, others = np.flatnonzero(~same), np.flatnonzero(same)
+    k = len(changed)
+    # rows: changed x all; columns: unchanged x changed
+    ci = np.concatenate([np.repeat(changed, n), np.repeat(others, k)])
+    mi = np.concatenate([np.tile(np.arange(n), k), np.tile(changed, len(others))])
+    pair_min[ci, mi] = _pair_minima(inst, a.perms.T, ci, mi, masks)
+    pair_min[changed, changed] = np.inf
+    return len(ci) * len(masks)
+
+
 def v_opt(inst: Instance, a: Assignment, variant: str = "improved") -> LocalSearchReport:
     """Variable-depth interchange: from each starting vector, grow a chain of
     minimum-weight swaps while the accumulated gain stays positive, keeping
-    the best assignment seen; repeat until a full run improves nothing."""
+    the best assignment seen; repeat until a full run improves nothing.
+
+    Two exact skip rules leave the result, final weight and pass count
+    identical to the unskipped search:
+
+    * dead starts: pair_min[c, m] is the least weight row c's vector can
+      take by swapping in row m's coordinates on one of the swap masks. A
+      start whose weight exceeds its row minimum by no more than EPS fails
+      the first-step gain test, so it is skipped. After a start that
+      changed the assignment, the table rows and columns of the changed
+      rows are recomputed.
+    * chain cut: rows the chain has left never change again, and the
+      current and available rows weigh at least the instance weight floor.
+      Once that lower bound on every later total reaches the chain's best
+      total (compared without EPS, so rounding cannot hide an improving
+      state), the chain stops.
+
+    candidate_evals includes the table's evaluations.
+    """
     if variant not in ("natural", "improved"):
         raise ValueError(f"unknown v-opt variant {variant!r}")
     if inst.n < 2:
@@ -334,7 +382,12 @@ def v_opt(inst: Instance, a: Assignment, variant: str = "improved") -> LocalSear
     w_rows = row_weights(inst, a)
     total = float(w_rows.sum())
     w0 = total
-    evals = 0
+    floor = inst.min_weight_floor()
+    idx = np.arange(n)
+    pair_min = _pair_minima(inst, a.perms.T, np.repeat(idx, n), np.tile(idx, n), masks)
+    pair_min = pair_min.reshape(n, n)
+    pair_min[idx, idx] = np.inf
+    evals = n * n * len(masks)
     passes = 0
 
     run_improved = True
@@ -342,7 +395,9 @@ def v_opt(inst: Instance, a: Assignment, variant: str = "improved") -> LocalSear
         passes += 1
         run_start = total
         for c0 in range(n):
-            best_perms = a.perms.copy()
+            if float(w_rows[c0]) - float(pair_min[c0].min()) <= EPS:
+                continue  # the first step would not gain: nothing changes
+            start_perms = best_perms = a.perms.copy()
             best_rows = w_rows.copy()
             best_total = total
             avail = np.ones(n, dtype=bool)
@@ -350,8 +405,12 @@ def v_opt(inst: Instance, a: Assignment, variant: str = "improved") -> LocalSear
             c_row = c0
             gain = 0.0
             while avail.any():
-                c_vec = a.perms[:, c_row]
                 rows = np.flatnonzero(avail)
+                lb = (total - float(w_rows[c_row]) - float(w_rows[rows].sum())
+                      + (len(rows) + 1) * floor)
+                if lb >= best_total:
+                    break
+                c_vec = a.perms[:, c_row]
                 m_coords = a.perms[:, rows].T  # (t, s)
                 cand = np.where(masks[None, :, :], m_coords[:, None, :], c_vec[None, None, :])
                 w = inst.weight_batch(cand.reshape(-1, s)).reshape(len(rows), -1)
@@ -385,6 +444,8 @@ def v_opt(inst: Instance, a: Assignment, variant: str = "improved") -> LocalSear
             a.perms[:] = best_perms
             w_rows[:] = best_rows
             total = best_total
+            if best_perms is not start_perms:
+                evals += _refresh_pair_minima(inst, a, pair_min, start_perms, masks)
         run_improved = total < run_start - EPS
     return _report(a, w0, total, passes, 0, evals, t0)
 

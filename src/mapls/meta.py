@@ -34,6 +34,12 @@ class MetaConfig:
             raise ValueError("multichain width c must be >= 1")
         if (self.time_budget is None) == (self.iteration_cap is None):
             raise ValueError("exactly one of time_budget / iteration_cap must be set")
+        if self.time_budget is not None and not (
+            math.isfinite(self.time_budget) and self.time_budget > 0
+        ):
+            raise ValueError(f"time budget must be finite and > 0, got {self.time_budget}")
+        if self.iteration_cap is not None and self.iteration_cap < 1:
+            raise ValueError(f"iteration cap must be >= 1, got {self.iteration_cap}")
 
 
 @dataclass

@@ -1,6 +1,8 @@
 """Shared helpers: explicit-tensor builders and brute-force oracles."""
 
+import os
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,3 +42,13 @@ def all_vectors(s: int, n: int) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _subprocesses_import_src():
+    """CLI tests run `python -m mapls.cli` in a child process; point its
+    import path at this checkout's src/ so no install is needed."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        yield

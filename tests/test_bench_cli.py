@@ -160,6 +160,15 @@ def test_cli_solve_with_meta(tmp_path):
     assert "chain;iters=5;seed=3" in r.stdout
 
 
+@pytest.mark.parametrize("budget", ["--time=0s", "--time=-1s", "--time=nan", "--iters=0"])
+def test_cli_solve_rejects_empty_budget(tmp_path, budget):
+    r = run_cli("solve", "--name", "3r6", "--ls", "1dv", "--meta", "chain", budget,
+                env_extra={"MAPLS_REGISTRY": str(tmp_path / "r.txt")})
+    assert r.returncode == 2  # data error, reported on one line
+    assert "mapls solve: error:" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_cli_nbhd_and_bound():
     r = run_cli("nbhd", "--variant", "sdv", "--s", "4", "--n", "3")
     assert r.returncode == 0 and r.stdout.strip() == "36"

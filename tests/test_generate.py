@@ -110,3 +110,13 @@ def test_splitmix_block_matches_scalar():
     b = SplitMix64(1234)
     scalar = [a.next_u64() for _ in range(100)]
     assert np.array_equal(np.asarray(scalar, dtype=np.uint64), b.next_block(100))
+
+
+def test_random_families_reject_rank_wraparound():
+    # 300^8 > 2^64: the uint64 rank of LazyRandom would wrap and alias weights
+    for name in ("8r300", "8gp300"):
+        with pytest.raises(ValueError, match="2\\^64"):
+            generate(parse_instance_name(name, 1))
+    inst = generate(parse_instance_name("8r200", 1))  # 200^8 < 2^64
+    coords = np.array([[199] * 8, [0] * 8])
+    assert inst.weight_batch(coords).shape == (2,)

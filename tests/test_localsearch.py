@@ -10,12 +10,18 @@ from mapls import (
     combined,
     dv_search,
     enumerate_neighborhood,
+    generate,
     k_opt,
+    parse_instance_name,
+    perturb,
     solve_ap2,
     swap_weight_matrix,
+    trivial,
     v_opt,
 )
-from mapls.localsearch import _swap_masks, make_local_search
+from mapls.core import row_weights
+from mapls.localsearch import EPS, _swap_masks, make_local_search
+from mapls.rng import SplitMix64
 
 from conftest import brute_force_optimum, explicit_instance, random_explicit
 
@@ -218,6 +224,117 @@ def test_vopt_monotone_and_valid(rng):
             assert r.final_weight <= r.initial_weight + 1e-9
             r.result.validate()
             assert abs(assignment_weight(inst, r.result) - r.final_weight) < 1e-9
+
+
+def _reference_v_opt(inst, a, variant="improved"):
+    """v_opt without its skip rules, frozen: every start grows its chain
+    until the accumulated gain runs out. Returns (result, weight, passes)."""
+    s, n = inst.s, inst.n
+    masks = _swap_masks(s, 1 if variant == "natural" else s // 2)
+    a = a.copy()
+    w_rows = row_weights(inst, a)
+    total = float(w_rows.sum())
+    passes = 0
+    run_improved = True
+    while run_improved:
+        passes += 1
+        run_start = total
+        for c0 in range(n):
+            best_perms = a.perms.copy()
+            best_rows = w_rows.copy()
+            best_total = total
+            avail = np.ones(n, dtype=bool)
+            avail[c0] = False
+            c_row = c0
+            gain = 0.0
+            while avail.any():
+                c_vec = a.perms[:, c_row]
+                rows = np.flatnonzero(avail)
+                m_coords = a.perms[:, rows].T
+                cand = np.where(masks[None, :, :], m_coords[:, None, :], c_vec[None, None, :])
+                w = inst.weight_batch(cand.reshape(-1, s)).reshape(len(rows), -1)
+                per_row = w.min(axis=1)
+                mi = int(np.argmin(per_row))
+                di = int(np.argmin(w[mi]))
+                m_row = int(rows[mi])
+                v = cand[mi, di]
+                w_v = float(w[mi, di])
+                gain += float(w_rows[c_row]) - w_v
+                if gain <= EPS:
+                    break
+                m_vec = a.perms[:, m_row]
+                v_bar = np.where(v == c_vec, m_vec, c_vec)
+                avail[m_row] = False
+                w_vbar = float(inst.weight_batch(v_bar[None, :])[0])
+                total += w_v + w_vbar - float(w_rows[c_row]) - float(w_rows[m_row])
+                a.perms[:, v[0]] = v
+                a.perms[:, v_bar[0]] = v_bar
+                w_rows[v[0]] = w_v
+                w_rows[v_bar[0]] = w_vbar
+                c_row = int(v_bar[0])
+                if total < best_total - EPS:
+                    best_perms = a.perms.copy()
+                    best_rows = w_rows.copy()
+                    best_total = total
+            a.perms[:] = best_perms
+            w_rows[:] = best_rows
+            total = best_total
+        run_improved = total < run_start - EPS
+    return a, total, passes
+
+
+def _vopt_starts(inst, variant, seed):
+    """The trivial assignment, then perturbed v-opt local optima: the starts
+    where most chains die at once and the skip rules fire."""
+    a = trivial(inst)
+    yield a
+    rng = SplitMix64(seed)
+    opt = _reference_v_opt(inst, a, variant)[0]
+    for _ in range(3):
+        yield perturb(opt, rng)
+
+
+def _assert_vopt_matches_reference(inst, seed=0):
+    for variant in ("natural", "improved"):
+        for a in _vopt_starts(inst, variant, seed):
+            ref, ref_w, ref_passes = _reference_v_opt(inst, a, variant)
+            r = v_opt(inst, a, variant)
+            assert r.result == ref
+            assert r.final_weight == ref_w
+            assert r.passes == ref_passes
+
+
+def test_vopt_matches_reference_explicit(rng):
+    for s, n in ((3, 6), (4, 5), (5, 4), (6, 3)):
+        # non-integer weights
+        inst = explicit_instance(s, n, rng.uniform(0.0, 1.0, size=n**s))
+        _assert_vopt_matches_reference(inst, seed=s)
+        # few distinct values: many ties in the argmin and the gain tests
+        inst = random_explicit(s, n, rng, lo=0, hi=3)
+        _assert_vopt_matches_reference(inst, seed=s)
+
+
+@pytest.mark.parametrize("name", ["3r12", "4r7", "3gp12", "4gp6", "3c10", "4c6",
+                                  "3g10", "4g6", "3sr10", "5sr5"])
+def test_vopt_matches_reference_generated(name):
+    for index in (1, 2):
+        _assert_vopt_matches_reference(generate(parse_instance_name(name, index)), seed=index)
+
+
+def test_vopt_rerun_on_own_result_runs_no_chain(rng):
+    # a cheap hidden assignment among expensive vectors: v-opt finds it, and
+    # from there every start fails the dead-start test, so a second run
+    # evaluates the pair-minimum table and nothing else
+    for s, n in ((3, 8), (4, 6)):
+        vals = rng.uniform(50.0, 60.0, size=n**s)
+        hidden = Assignment(np.vstack([np.arange(n)] + [rng.permutation(n) for _ in range(s - 1)]))
+        vals[hidden.perms.T @ (n ** np.arange(s - 1, -1, -1))] = 1.0 + 0.5 * np.arange(n)
+        inst = explicit_instance(s, n, vals)
+        r1 = v_opt(inst, trivial(inst))
+        assert r1.result == hidden
+        r2 = v_opt(inst, r1.result)
+        assert r2.result == hidden and r2.passes == 1
+        assert r2.candidate_evals == n * n * len(_swap_masks(s, s // 2))
 
 
 def test_vopt_requires_n_at_least_two():

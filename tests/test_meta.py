@@ -62,6 +62,23 @@ def test_meta_config_validation():
         MetaConfig("multichain", iteration_cap=5, c=0)
 
 
+@pytest.mark.parametrize("budget", [0, 0.0, -1.0, math.nan, math.inf])
+def test_meta_config_rejects_bad_time_budget(budget):
+    with pytest.raises(ValueError, match="time budget"):
+        MetaConfig("chain", time_budget=budget)
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_meta_config_rejects_bad_iteration_cap(cap):
+    with pytest.raises(ValueError, match="iteration cap"):
+        MetaConfig("multichain", iteration_cap=cap)
+
+
+def test_meta_config_accepts_smallest_budgets():
+    assert MetaConfig("chain", time_budget=1e-3).time_budget == 1e-3
+    assert MetaConfig("chain", iteration_cap=1).iteration_cap == 1
+
+
 def test_chain_cap_one_equals_plain_ls():
     inst = generate(parse_instance_name("3r15", 1))
     a0 = trivial(inst)
