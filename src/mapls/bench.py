@@ -12,9 +12,9 @@ import time
 from dataclasses import dataclass, field
 
 from .construct import greedy, max_regret, rom, trivial
-from .core import Family, Instance
+from .core import Instance
 from .generate import FamilySpec, TAG_BY_FAMILY, generate, known_optimum, parse_instance_name
-from .localsearch import EPS, LS_NAMES, make_local_search
+from .localsearch import EPS, LS_NAMES, V_VARIANTS, make_local_search
 from .meta import MetaConfig, chain, multichain
 
 CSV_COLUMNS = (
@@ -80,6 +80,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown construction heuristic {self.construct!r}")
         if self.ls not in LS_NAMES:
             raise ValueError(f"unknown local search {self.ls!r}")
+        if self.ls_variant not in V_VARIANTS:
+            raise ValueError(f"unknown v-opt variant {self.ls_variant!r}")
+        if any(index < 1 for index in self.indices):
+            raise ValueError(f"instance indices must be >= 1, got {self.indices}")
         for name in self.instance_names:
             parse_instance_name(name)  # raises on malformed names
 
@@ -213,12 +217,6 @@ def _aggregate(rows: list[ExperimentRow]) -> list[ExperimentRow]:
 # -- best-known registry ------------------------------------------------------
 
 
-def _proven_lower_bound(fam: FamilySpec, inst: Instance) -> float | None:
-    if fam.family in (Family.RANDOM, Family.PLANTED):
-        return float(inst.weights.a * inst.n)
-    return None
-
-
 def read_registry(path: str) -> dict[tuple[str, int], float]:
     table: dict[tuple[str, int], float] = {}
     if not os.path.exists(path):
@@ -243,9 +241,7 @@ def update_best_known(path: str, name: str, index: int, value: float) -> bool:
     it improved. Rejects values below a proven family lower bound."""
     if not math.isfinite(value):
         raise ValueError("weight must be finite")
-    fam = parse_instance_name(name, index)
-    inst = generate(fam)
-    bound = _proven_lower_bound(fam, inst)
+    bound = known_optimum(generate(parse_instance_name(name, index)))
     if bound is not None and value < bound - EPS:
         raise ValueError(
             f"{name} #{index}: weight {value} is below proven lower bound {bound}"

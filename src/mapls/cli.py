@@ -16,20 +16,11 @@ import numpy as np
 from . import bench as bench_mod
 from .analysis import nbhd_size_combined, nbhd_size_dv, nbhd_size_kopt, optimum_probability_bound
 from .ap2 import solve_ap2
-from .bench import (
-    CONSTRUCT_LABELS,
-    CONSTRUCTORS,
-    CSV_COLUMNS,
-    ExperimentRow,
-    ExperimentSpec,
-    resolve_best_known,
-    run_single,
-    suite_names,
-)
+from .bench import CONSTRUCT_LABELS, CONSTRUCTORS, CSV_COLUMNS, ExperimentSpec, suite_names
 from .core import assignment_weight
 from .files import dump_assignment, dump_instance, load_assignment, load_instance, save_assignment
 from .generate import generate, parse_instance_name
-from .localsearch import DV_VARIANTS, LS_NAMES
+from .localsearch import DV_VARIANTS, LS_NAMES, V_VARIANTS
 from .meta import MetaConfig
 
 USAGE_EXIT = 1
@@ -109,7 +100,7 @@ def build_parser() -> _Parser:
     _add_instance_args(p)
     p.add_argument("--construct", default="trivial", choices=sorted(CONSTRUCTORS))
     p.add_argument("--ls", default="1dv", choices=LS_NAMES)
-    p.add_argument("--ls-variant", default="improved", choices=["natural", "improved"])
+    p.add_argument("--ls-variant", default="improved", choices=V_VARIANTS)
     _add_meta_args(p)
     p.add_argument("--header", action="store_true", help="print the CSV header line too")
 
@@ -120,7 +111,7 @@ def build_parser() -> _Parser:
     p.add_argument("--indices", default=None, help="e.g. 1..10 or 1,2,3")
     p.add_argument("--construct", default="trivial", choices=sorted(CONSTRUCTORS))
     p.add_argument("--ls", default="1dv", choices=LS_NAMES)
-    p.add_argument("--ls-variant", default="improved", choices=["natural", "improved"])
+    p.add_argument("--ls-variant", default="improved", choices=V_VARIANTS)
     _add_meta_args(p)
     p.add_argument("--out", default=None)
     p.add_argument("--format", default="csv", choices=["csv", "markdown"])
@@ -177,23 +168,10 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _row_for(args, meta) -> ExperimentRow:
-    fam = parse_instance_name(args.name, args.index)
-    inst = generate(fam)
-    achieved, ms = run_single(inst, args.construct, args.ls, args.ls_variant, meta)
-    best = resolve_best_known(bench_mod.registry_path(), fam, inst, achieved)
-    spec = ExperimentSpec([fam.name], [fam.index], args.construct, args.ls, args.ls_variant, meta)
-    return ExperimentRow(
-        name=fam.name, index=fam.index, seed=fam.seed,
-        construct=CONSTRUCT_LABELS.get(args.construct, args.construct),
-        ls=args.ls, meta=spec.meta_label(),
-        best_known=best, achieved=achieved,
-        error_pct=(achieved / best - 1.0) * 100.0, time_ms=ms,
-    )
-
-
 def _cmd_solve(args) -> int:
-    row = _row_for(args, _meta_from_args(args))
+    spec = ExperimentSpec([args.name], [args.index], args.construct, args.ls, args.ls_variant,
+                          _meta_from_args(args))
+    [row] = bench_mod.run_experiment(spec).rows
     if args.header:
         print(",".join(CSV_COLUMNS))
     print(",".join(row.csv_values()))

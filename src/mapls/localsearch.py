@@ -6,7 +6,11 @@ Three families:
   the optimal re-permutation found exactly by one 2-AP solve per subset;
 * vectorwise (``k_opt``, ``v_opt``): recombine coordinates inside a small
   set of vectors, exhaustively for k-opt, along a variable-depth chain for
-  v-opt;
+  v-opt. 2-opt and 3-opt are one sweep over one table of k-row
+  recombinations: a block of row subsets is screened on the assignment as it
+  stands when the block starts, then each screened subset is re-verified on
+  the live assignment and committed. Later blocks see earlier commits, so
+  the block boundaries are part of the search trajectory;
 * ``combined``: alternate a dimensionwise and a vectorwise search until the
   assignment is a local optimum of both.
 
@@ -20,7 +24,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product as iter_product
+from itertools import chain, combinations, permutations, product as iter_product
+from math import comb
 
 import numpy as np
 
@@ -38,6 +43,7 @@ EPS = 1e-9
 _BATCH_ROWS = 1_200_000
 
 DV_VARIANTS = ("1dv", "2dv", "sdv")
+V_VARIANTS = ("natural", "improved")
 VECTORWISE = ("2opt", "3opt", "vopt")
 
 
@@ -134,33 +140,11 @@ def dv_search(inst: Instance, a: Assignment, family: DimensionSubsetFamily) -> L
 
 
 @lru_cache(maxsize=16)
-def _pair_dim_subsets(s: int) -> tuple[tuple[int, ...], ...]:
-    # nonempty subsets of dims 1..s-1 ordered like the lexicographic
-    # enumeration of (rho_2, ..., rho_s) swap/identity tuples
-    out = []
-    for code in range(1, 2 ** (s - 1)):
-        out.append(tuple(d for d in range(1, s) if code & (1 << (s - 1 - d))))
-    return tuple(out)
-
-
-@lru_cache(maxsize=16)
-def _triple_recombinations(s: int) -> np.ndarray:
-    # (R, s-1, 3): for recombination r, the dim-j coords of the three rows
-    # become old_coords[table[r, j-1]]
-    perms3 = list(permutations(range(3)))
-    tuples = list(iter_product(range(6), repeat=s - 1))
-    table = np.empty((len(tuples), s - 1, 3), dtype=np.int64)
-    for r, tup in enumerate(tuples):
-        for j, p in enumerate(tup):
-            table[r, j] = perms3[p]
-    return table
-
-
-@lru_cache(maxsize=8)
-def _all_triples(n: int) -> np.ndarray:
-    i, j, k = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
-    mask = (i < j) & (j < k)
-    return np.stack([i[mask], j[mask], k[mask]], axis=1).astype(np.int64)
+def _recombinations(s: int, k: int) -> np.ndarray:
+    """(R, s-1, k) non-identity recombinations of k rows, R = (k!)^(s-1) - 1,
+    in lexicographic (rho_2, ..., rho_s) order: under recombination r the
+    dim-j coordinates of the rows become old_coords[table[r, j-1]]."""
+    return np.array(list(iter_product(permutations(range(k)), repeat=s - 1))[1:], dtype=np.int64)
 
 
 def k_opt(
@@ -171,10 +155,11 @@ def k_opt(
 ) -> LocalSearchReport:
     """Exhaustive recombination of every k-subset of vectors, k in {2, 3}.
 
-    Sweeps until a pass commits nothing. Two skip rules: subsets whose
-    vectors all sit at the instance weight floor, and subsets whose vectors
-    are all unchanged since their last examination (`dirty` seeds the first
-    sweep with the externally-changed rows; None means examine everything).
+    Both k run one sweep (`_sweep`, block screen then live re-verify) until
+    a pass commits nothing. Two skip rules: subsets whose vectors all sit at
+    the instance weight floor, and subsets whose vectors are all unchanged
+    since their last examination (`dirty` seeds the first sweep with the
+    externally-changed rows; None means examine everything).
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
@@ -186,12 +171,14 @@ def k_opt(
     w0 = float(w_rows.sum())
     floor = inst.min_weight_floor()
     examine = np.arange(inst.n) if dirty is None else np.fromiter(sorted(dirty), dtype=np.int64)
+    # every k-subset of rows, in lexicographic order
+    subsets = np.fromiter(chain.from_iterable(combinations(range(inst.n), k)), dtype=np.int64,
+                          count=comb(inst.n, k) * k).reshape(-1, k)
     passes = evals = 0
     touched: set[int] = set()
-    sweep = _sweep_2opt if k == 2 else _sweep_3opt
     while True:
         passes += 1
-        changed, n_evals = sweep(inst, a, w_rows, examine, floor)
+        changed, n_evals = _sweep(inst, a, w_rows, subsets, examine, floor)
         evals += n_evals
         if not changed:
             break
@@ -200,106 +187,56 @@ def k_opt(
     return _report(a, w0, float(w_rows.sum()), passes, 0, evals, t0, frozenset(touched))
 
 
-def _sweep_2opt(inst, a, w_rows, examine, floor):
-    n, s = inst.n, inst.s
-    subsets = _pair_dim_subsets(s)
-    changed: set[int] = set()
-    evals = 0
+def _sweep(inst, a, w_rows, subsets, examine, floor):
+    """One k-opt pass over the (c, k) subsets of rows, in their order, that
+    hold an examined row and a row above the floor; returns the changed rows
+    and the number of weights evaluated.
+
+    Each block is screened on the assignment as it stands at the block's
+    start. Earlier commits may have touched a screened subset's rows, so it
+    is re-verified on the live assignment before its best recombination
+    commits. The block size, _BATCH_ROWS // ((R + 1) * k) subsets with R + 1
+    counting the identity, is part of the trajectory: it decides which
+    screens see which commits.
+    """
     if len(examine) == 0:
-        return changed, evals
-
-    deltas = np.empty((len(subsets), n, n))
-    for d_idx, dims in enumerate(subsets):
-        m = swap_weight_matrix(inst, a, dims)
-        evals += m.size
-        deltas[d_idx] = m + m.T - w_rows[:, None] - w_rows[None, :]
-    best = deltas.min(axis=0)
-
-    cand = best < -EPS
-    cand &= np.triu(np.ones((n, n), dtype=bool), 1)
+        return set(), 0
+    n, s, k = inst.n, inst.s, subsets.shape[1]
+    table = _recombinations(s, k)
     in_examine = np.zeros(n, dtype=bool)
     in_examine[examine] = True
-    cand &= in_examine[:, None] | in_examine[None, :]
-    settled = w_rows <= floor + EPS
-    cand &= ~(settled[:, None] & settled[None, :])
-
-    for i, j in np.argwhere(cand):
-        i, j = int(i), int(j)
-        # re-verify against the current assignment; earlier commits in this
-        # sweep may have touched either row
-        u = a.perms[:, i]
-        v = a.perms[:, j]
-        coords = np.empty((len(subsets), 2, s), dtype=np.int64)
-        coords[:, 0] = u
-        coords[:, 1] = v
-        for d_idx, dims in enumerate(subsets):
-            for d in dims:
-                coords[d_idx, 0, d] = v[d]
-                coords[d_idx, 1, d] = u[d]
-        w = inst.weight_batch(coords.reshape(-1, s)).reshape(-1, 2)
-        evals += w.size
-        totals = w.sum(axis=1)
-        r = int(np.argmin(totals))
-        gain = totals[r] - (w_rows[i] + w_rows[j])
-        if gain < -EPS:
-            a.perms[:, i] = coords[r, 0]
-            a.perms[:, j] = coords[r, 1]
-            w_rows[i], w_rows[j] = w[r, 0], w[r, 1]
-            changed.update((i, j))
+    keep = in_examine[subsets].any(axis=1) & (w_rows[subsets] > floor + EPS).any(axis=1)
+    subsets = subsets[keep]
+    changed: set[int] = set()
+    evals = 0
+    dims = np.arange(1, s)[:, None]
+    step = max(1, _BATCH_ROWS // ((len(table) + 1) * k))
+    for lo in range(0, len(subsets), step):
+        block = subsets[lo : lo + step]
+        screen = _recombination_weights(inst, a, block, table).sum(axis=2)
+        evals += screen.size * k
+        gain = screen.min(axis=1) - w_rows[block].sum(axis=1)
+        for rows in block[gain < -EPS]:
+            w = _recombination_weights(inst, a, rows[None, :], table)[0]
+            evals += w.size
+            totals = w.sum(axis=1)
+            r = int(np.argmin(totals))
+            if totals[r] < w_rows[rows].sum() - EPS:
+                a.perms[1:, rows] = a.perms[dims, rows[table[r]]]
+                w_rows[rows] = w[r]
+                changed.update(rows.tolist())
     return changed, evals
 
 
-def _sweep_3opt(inst, a, w_rows, examine, floor):
-    n, s = inst.n, inst.s
-    table = _triple_recombinations(s)
-    big_r = len(table)
-    changed: set[int] = set()
-    evals = 0
-    if len(examine) == 0:
-        return changed, evals
-
-    triples = _all_triples(n)
-    in_examine = np.zeros(n, dtype=bool)
-    in_examine[examine] = True
-    keep = in_examine[triples].any(axis=1)
-    settled = w_rows <= floor + EPS
-    keep &= ~settled[triples].all(axis=1)
-    triples = triples[keep]
-
-    chunk = max(1, _BATCH_ROWS // (big_r * 3))
-    for start in range(0, len(triples), chunk):
-        block = triples[start : start + chunk]
-        cur = w_rows[block].sum(axis=1)
-        totals = _triple_totals(inst, a, block, table)
-        evals += len(block) * big_r * 3
-        r_best = totals.argmin(axis=1)
-        gain = totals[np.arange(len(block)), r_best] - cur
-        for t in np.flatnonzero(gain < -EPS):
-            rows = block[t]
-            # re-verify on the live assignment
-            totals_t = _triple_totals(inst, a, rows[None, :], table)[0]
-            evals += big_r * 3
-            r = int(np.argmin(totals_t))
-            if totals_t[r] < w_rows[rows].sum() - EPS:
-                old = a.perms[1:, rows].copy()
-                for j in range(1, s):
-                    a.perms[j, rows] = old[j - 1][table[r, j - 1]]
-                w_rows[rows] = inst.weight_batch(a.perms[:, rows].T)
-                changed.update(int(x) for x in rows)
-    return changed, evals
-
-
-def _triple_totals(inst, a, triples, table) -> np.ndarray:
-    """(len(triples), R) recombination weights for each triple of rows."""
-    c, big_r = len(triples), len(table)
-    s = inst.s
-    coords = np.empty((c, big_r, 3, s), dtype=np.int64)
-    coords[..., 0] = triples[:, None, :]
+def _recombination_weights(inst, a, subsets, table) -> np.ndarray:
+    """(c, R, k) weights of every row of every recombination of each of the
+    c subsets of rows."""
+    s, (c, k), big_r = inst.s, subsets.shape, len(table)
+    coords = np.empty((c, big_r, k, s), dtype=np.int64)
+    coords[..., 0] = subsets[:, None, :]
     for j in range(1, s):
-        ecoords = a.perms[j][triples]  # (c, 3)
-        coords[..., j] = ecoords[:, table[:, j - 1, :]]
-    w = inst.weight_batch(coords.reshape(-1, s)).reshape(c, big_r, 3)
-    return w.sum(axis=2)
+        coords[..., j] = a.perms[j][subsets][:, table[:, j - 1]]
+    return inst.weight_batch(coords.reshape(-1, s)).reshape(c, big_r, k)
 
 
 # -- v-opt ------------------------------------------------------------------
@@ -369,9 +306,11 @@ def v_opt(inst: Instance, a: Assignment, variant: str = "improved") -> LocalSear
       total (compared without EPS, so rounding cannot hide an improving
       state), the chain stops.
 
-    candidate_evals includes the table's evaluations.
+    candidate_evals includes the table's evaluations. The chain compares
+    an incrementally updated total; final_weight is the sum of the
+    re-evaluated row weights, so it carries no accumulated rounding.
     """
-    if variant not in ("natural", "improved"):
+    if variant not in V_VARIANTS:
         raise ValueError(f"unknown v-opt variant {variant!r}")
     if inst.n < 2:
         raise ValueError("v-opt needs n >= 2")
@@ -447,7 +386,7 @@ def v_opt(inst: Instance, a: Assignment, variant: str = "improved") -> LocalSear
             if best_perms is not start_perms:
                 evals += _refresh_pair_minima(inst, a, pair_min, start_perms, masks)
         run_improved = total < run_start - EPS
-    return _report(a, w0, total, passes, 0, evals, t0)
+    return _report(a, w0, float(w_rows.sum()), passes, 0, evals, t0)
 
 
 # -- combined ---------------------------------------------------------------

@@ -81,6 +81,11 @@ def test_spec_validation():
         ExperimentSpec(["3r10"], ls="sdv+2opt")  # rejected pairing
     with pytest.raises(ValueError):
         ExperimentSpec(["2r10"])
+    with pytest.raises(ValueError):
+        ExperimentSpec(["3r10"], ls="vopt", ls_variant="bogus")
+    for indices in ([0], [1, -2]):
+        with pytest.raises(ValueError):
+            ExperimentSpec(["3r10"], indices=indices)
 
 
 def test_run_experiment_rows_and_aggregates(tmp_path):
@@ -158,6 +163,19 @@ def test_cli_solve_with_meta(tmp_path):
                 env_extra={"MAPLS_REGISTRY": str(tmp_path / "r.txt")})
     assert r.returncode == 0
     assert "chain;iters=5;seed=3" in r.stdout
+
+
+def test_cli_solve_row_equals_bench_row(tmp_path):
+    # one path from the CLI to a result row: solve prints bench's data row
+    env = {"MAPLS_REGISTRY": str(tmp_path / "r.txt")}
+    common = ("--construct", "greedy", "--ls", "sdv+vopt", "--ls-variant", "natural",
+              "--meta", "chain", "--iters", "3", "--meta-seed", "5")
+    solve = run_cli("solve", "--name", "4c6", "--index", "2", *common, env_extra=env)
+    bench = run_cli("bench", "--names", "4c6", "--indices", "2", *common, env_extra=env)
+    assert solve.returncode == 0 and bench.returncode == 0
+    solve_row = solve.stdout.strip()
+    bench_row = bench.stdout.splitlines()[1]
+    assert solve_row.rsplit(",", 1)[0] == bench_row.rsplit(",", 1)[0]
 
 
 @pytest.mark.parametrize("budget", ["--time=0s", "--time=-1s", "--time=nan", "--iters=0"])

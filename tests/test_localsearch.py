@@ -1,5 +1,7 @@
 """Local searches: families, fixpoints, oracle certificates, combinations."""
 
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,149 @@ def test_kopt_dirty_seed_restricts_first_sweep(rng):
     assert r2.candidate_evals == 0
 
 
+def _reference_k_opt(inst, a, k, dirty=None):
+    """k_opt as two separate sweeps, frozen: 2-opt screens every pair at once
+    from swap-weight matrices, 3-opt screens triples in blocks. Returns
+    (result, weight, passes, touched_rows)."""
+    n, s = inst.n, inst.s
+    a = a.copy()
+    w_rows = row_weights(inst, a)
+    floor = inst.min_weight_floor()
+    examine = np.arange(n) if dirty is None else np.fromiter(sorted(dirty), dtype=np.int64)
+    passes = 0
+    touched = set()
+    while True:
+        passes += 1
+        changed = (_reference_sweep_2opt if k == 2 else _reference_sweep_3opt)(
+            inst, a, w_rows, examine, floor)
+        if not changed:
+            break
+        touched |= changed
+        examine = np.fromiter(sorted(changed), dtype=np.int64)
+    return a, float(w_rows.sum()), passes, frozenset(touched)
+
+
+def _reference_sweep_2opt(inst, a, w_rows, examine, floor):
+    n, s = inst.n, inst.s
+    subsets = [tuple(d for d in range(1, s) if code & (1 << (s - 1 - d)))
+               for code in range(1, 2 ** (s - 1))]
+    changed = set()
+    if len(examine) == 0:
+        return changed
+    deltas = np.empty((len(subsets), n, n))
+    for d_idx, dims in enumerate(subsets):
+        m = swap_weight_matrix(inst, a, dims)
+        deltas[d_idx] = m + m.T - w_rows[:, None] - w_rows[None, :]
+    cand = deltas.min(axis=0) < -EPS
+    cand &= np.triu(np.ones((n, n), dtype=bool), 1)
+    in_examine = np.zeros(n, dtype=bool)
+    in_examine[examine] = True
+    cand &= in_examine[:, None] | in_examine[None, :]
+    settled = w_rows <= floor + EPS
+    cand &= ~(settled[:, None] & settled[None, :])
+    for i, j in np.argwhere(cand):
+        i, j = int(i), int(j)
+        u, v = a.perms[:, i], a.perms[:, j]
+        coords = np.empty((len(subsets), 2, s), dtype=np.int64)
+        coords[:, 0] = u
+        coords[:, 1] = v
+        for d_idx, dims in enumerate(subsets):
+            for d in dims:
+                coords[d_idx, 0, d] = v[d]
+                coords[d_idx, 1, d] = u[d]
+        w = inst.weight_batch(coords.reshape(-1, s)).reshape(-1, 2)
+        totals = w.sum(axis=1)
+        r = int(np.argmin(totals))
+        if totals[r] - (w_rows[i] + w_rows[j]) < -EPS:
+            a.perms[:, i] = coords[r, 0]
+            a.perms[:, j] = coords[r, 1]
+            w_rows[i], w_rows[j] = w[r, 0], w[r, 1]
+            changed.update((i, j))
+    return changed
+
+
+def _reference_triple_totals(inst, a, triples, table):
+    s = inst.s
+    coords = np.empty((len(triples), len(table), 3, s), dtype=np.int64)
+    coords[..., 0] = triples[:, None, :]
+    for j in range(1, s):
+        coords[..., j] = a.perms[j][triples][:, table[:, j - 1, :]]
+    return inst.weight_batch(coords.reshape(-1, s)).reshape(len(triples), len(table), 3).sum(axis=2)
+
+
+def _reference_sweep_3opt(inst, a, w_rows, examine, floor):
+    n, s = inst.n, inst.s
+    table = np.array(list(product(permutations(range(3)), repeat=s - 1)), dtype=np.int64)
+    changed = set()
+    if len(examine) == 0:
+        return changed
+    i, j, k = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
+    mask = (i < j) & (j < k)
+    triples = np.stack([i[mask], j[mask], k[mask]], axis=1).astype(np.int64)
+    in_examine = np.zeros(n, dtype=bool)
+    in_examine[examine] = True
+    keep = in_examine[triples].any(axis=1)
+    keep &= ~(w_rows <= floor + EPS)[triples].all(axis=1)
+    triples = triples[keep]
+    chunk = max(1, 1_200_000 // (len(table) * 3))
+    for start in range(0, len(triples), chunk):
+        block = triples[start : start + chunk]
+        totals = _reference_triple_totals(inst, a, block, table)
+        gain = totals.min(axis=1) - w_rows[block].sum(axis=1)
+        for t in np.flatnonzero(gain < -EPS):
+            rows = block[t]
+            totals_t = _reference_triple_totals(inst, a, rows[None, :], table)[0]
+            r = int(np.argmin(totals_t))
+            if totals_t[r] < w_rows[rows].sum() - EPS:
+                old = a.perms[1:, rows].copy()
+                for j in range(1, s):
+                    a.perms[j, rows] = old[j - 1][table[r, j - 1]]
+                w_rows[rows] = inst.weight_batch(a.perms[:, rows].T)
+                changed.update(int(x) for x in rows)
+    return changed
+
+
+def _kopt_starts(inst, k, seed):
+    """(start, dirty) pairs: the trivial assignment, then three perturbed
+    k-opt local optima, each with and without the rows the perturbation
+    changed as the dirty set."""
+    a = trivial(inst)
+    yield a, None
+    rng = SplitMix64(seed)
+    opt = _reference_k_opt(inst, a, k)[0]
+    for _ in range(3):
+        b = perturb(opt, rng)
+        yield b, None
+        yield b, frozenset(np.flatnonzero((b.perms != opt.perms).any(axis=0)).tolist())
+
+
+def _assert_kopt_matches_reference(inst, seed=0, ks=(2, 3)):
+    for k in ks:
+        for a, dirty in _kopt_starts(inst, k, seed):
+            ref, ref_w, ref_passes, ref_touched = _reference_k_opt(inst, a, k, dirty)
+            r = k_opt(inst, a, k, dirty)
+            assert r.result == ref
+            assert r.final_weight == ref_w
+            assert r.passes == ref_passes
+            assert r.touched_rows == ref_touched
+
+
+def test_kopt_matches_reference_explicit(rng):
+    for s, n in ((3, 6), (4, 5), (5, 4), (6, 3)):
+        # non-integer weights
+        inst = explicit_instance(s, n, rng.uniform(0.0, 1.0, size=n**s))
+        _assert_kopt_matches_reference(inst, seed=s)
+        # few distinct values: many ties in the argmin and the gain tests
+        inst = random_explicit(s, n, rng, lo=0, hi=3)
+        _assert_kopt_matches_reference(inst, seed=s)
+
+
+@pytest.mark.parametrize("name", ["3r12", "3gp12", "4c6", "3g10", "3sr10", "3p10", "5sr5"])
+def test_kopt_matches_reference_generated(name):
+    for index in (1, 2):
+        _assert_kopt_matches_reference(generate(parse_instance_name(name, index)), seed=index)
+
+
 # -- v-opt -------------------------------------------------------------------
 
 
@@ -297,10 +442,10 @@ def _vopt_starts(inst, variant, seed):
 def _assert_vopt_matches_reference(inst, seed=0):
     for variant in ("natural", "improved"):
         for a in _vopt_starts(inst, variant, seed):
-            ref, ref_w, ref_passes = _reference_v_opt(inst, a, variant)
+            ref, _, ref_passes = _reference_v_opt(inst, a, variant)
             r = v_opt(inst, a, variant)
             assert r.result == ref
-            assert r.final_weight == ref_w
+            assert r.final_weight == assignment_weight(inst, ref)
             assert r.passes == ref_passes
 
 
@@ -321,20 +466,35 @@ def test_vopt_matches_reference_generated(name):
         _assert_vopt_matches_reference(generate(parse_instance_name(name, index)), seed=index)
 
 
-def test_vopt_rerun_on_own_result_runs_no_chain(rng):
-    # a cheap hidden assignment among expensive vectors: v-opt finds it, and
-    # from there every start fails the dead-start test, so a second run
-    # evaluates the pair-minimum table and nothing else
+def _hidden_assignment_instances(rng):
+    """(instance, hidden) pairs at 3x8 and 4x6: a cheap hidden assignment
+    among expensive non-integer vectors."""
     for s, n in ((3, 8), (4, 6)):
         vals = rng.uniform(50.0, 60.0, size=n**s)
         hidden = Assignment(np.vstack([np.arange(n)] + [rng.permutation(n) for _ in range(s - 1)]))
         vals[hidden.perms.T @ (n ** np.arange(s - 1, -1, -1))] = 1.0 + 0.5 * np.arange(n)
-        inst = explicit_instance(s, n, vals)
+        yield explicit_instance(s, n, vals), hidden
+
+
+def test_vopt_rerun_on_own_result_runs_no_chain(rng):
+    # v-opt finds the hidden assignment, and from there every start fails
+    # the dead-start test, so a second run evaluates the pair-minimum table
+    # and nothing else
+    for inst, hidden in _hidden_assignment_instances(rng):
+        s, n = inst.s, inst.n
         r1 = v_opt(inst, trivial(inst))
         assert r1.result == hidden
         r2 = v_opt(inst, r1.result)
         assert r2.result == hidden and r2.passes == 1
         assert r2.candidate_evals == n * n * len(_swap_masks(s, s // 2))
+
+
+def test_vopt_final_weight_is_exact(rng):
+    # the chain's running total drifts on non-integer weights; the reported
+    # weight must be the weight of the returned assignment
+    for inst, _ in _hidden_assignment_instances(rng):
+        r = v_opt(inst, trivial(inst))
+        assert r.final_weight == assignment_weight(inst, r.result)
 
 
 def test_vopt_requires_n_at_least_two():
