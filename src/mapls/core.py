@@ -123,71 +123,80 @@ class ExplicitTensor(WeightModel):
 
 
 class CliqueSum(WeightModel):
-    """Decomposable weights: sum of pairwise distances over all dimension pairs."""
+    """Decomposable weights: sum of pairwise distances over all dimension pairs.
+    One n x n table per pair i < j, gathered and summed in pair order; the
+    other pairwise families gather their own precomputed tables the same way."""
 
     def __init__(self, s: int, mats: dict[tuple[int, int], np.ndarray]):
         self.mats = {k: np.asarray(v, dtype=np.float64) for k, v in sorted(mats.items())}
-        expected = set(combinations(range(s), 2))
-        if set(self.mats) != expected:
+        if set(self.mats) != set(combinations(range(s), 2)):
             raise ValueError("need one matrix per dimension pair i < j")
+        shapes = {d.shape for d in self.mats.values()}
+        if len(shapes) > 1 or any(len(sh) != 2 or sh[0] != sh[1] for sh in shapes):
+            raise ValueError("pair matrices must be square and of equal size")
+        if not all(np.isfinite(d).all() for d in self.mats.values()):
+            raise ValueError("pair matrix entries must be finite")
+        if any((d < 0).any() for d in self.mats.values()):
+            raise ValueError("pair matrix entries must be non-negative")
+        self._tables = self.mats
 
     def _pair_sum(self, coords: np.ndarray) -> np.ndarray:
         acc = np.zeros(len(coords), dtype=np.float64)
-        for (i, j), d in self.mats.items():
+        for (i, j), d in self._tables.items():
             acc += d[coords[:, i], coords[:, j]]
         return acc
+
+    def _floor_sum(self):
+        return sum(d.min() for d in self._tables.values())
 
     def batch(self, inst, coords):
         return self._pair_sum(coords)
 
     def min_weight_floor(self, inst):
-        return float(sum(d.min() for d in self.mats.values()))
+        return float(self._floor_sum())
 
 
 class SquareRootSquares(CliqueSum):
     """Decomposable weights: sqrt of the sum of squared pairwise distances,
-    rounded to the nearest integer."""
+    rounded to the nearest integer. The squares are tabulated once."""
+
+    def __init__(self, s: int, mats: dict[tuple[int, int], np.ndarray]):
+        super().__init__(s, mats)
+        self._tables = {k: d**2 for k, d in self.mats.items()}
 
     def batch(self, inst, coords):
-        acc = np.zeros(len(coords), dtype=np.float64)
-        for (i, j), d in self.mats.items():
-            acc += d[coords[:, i], coords[:, j]] ** 2
-        return _round_half_up(np.sqrt(acc))
+        return _round_half_up(np.sqrt(self._pair_sum(coords)))
 
     def min_weight_floor(self, inst):
-        return float(_round_half_up(np.sqrt(sum(d.min() ** 2 for d in self.mats.values()))))
+        return float(_round_half_up(np.sqrt(self._floor_sum())))
 
 
-class GeometricPoints(WeightModel):
-    """Clique-style sum of planar Euclidean distances between per-dimension
-    points; the vector weight is rounded to the nearest integer. Points are
-    stored and distances derived on demand."""
+class GeometricPoints(CliqueSum):
+    """Clique sum of planar Euclidean distances between per-dimension points;
+    the vector weight is rounded to the nearest integer. The points are kept
+    (the file format stores them) and the distance tables built once from
+    them, so `mats` holds the distances."""
 
     def __init__(self, points: Sequence[np.ndarray]):
         self.points = [np.asarray(p, dtype=np.float64) for p in points]
         for p in self.points:
             if p.ndim != 2 or p.shape[1] != 2:
                 raise ValueError("each dimension needs an (n, 2) point array")
-        self._floor: float | None = None
+            if not np.isfinite(p).all():
+                raise ValueError("point coordinates must be finite")
+        if len({len(p) for p in self.points}) > 1:
+            raise ValueError("every dimension needs the same number of points")
+        dists = {
+            (i, j): np.hypot(pi[:, None, 0] - pj[None, :, 0], pi[:, None, 1] - pj[None, :, 1])
+            for (i, pi), (j, pj) in combinations(enumerate(self.points), 2)
+        }
+        super().__init__(len(self.points), dists)
 
     def batch(self, inst, coords):
-        acc = np.zeros(len(coords), dtype=np.float64)
-        for i, j in combinations(range(inst.s), 2):
-            pi = self.points[i][coords[:, i]]
-            pj = self.points[j][coords[:, j]]
-            acc += np.hypot(pi[:, 0] - pj[:, 0], pi[:, 1] - pj[:, 1])
-        return _round_half_up(acc)
+        return _round_half_up(self._pair_sum(coords))
 
     def min_weight_floor(self, inst):
-        if self._floor is None:
-            total = 0.0
-            for i, j in combinations(range(inst.s), 2):
-                pi, pj = self.points[i], self.points[j]
-                dx = pi[:, None, 0] - pj[None, :, 0]
-                dy = pi[:, None, 1] - pj[None, :, 1]
-                total += float(np.hypot(dx, dy).min())
-            self._floor = float(_round_half_up(np.asarray(total)))
-        return self._floor
+        return float(_round_half_up(self._floor_sum()))
 
 
 class ProductWeights(WeightModel):
@@ -196,6 +205,8 @@ class ProductWeights(WeightModel):
     def __init__(self, factors: Sequence[np.ndarray]):
         self.factors = [np.asarray(f, dtype=np.float64) for f in factors]
         for f in self.factors:
+            if not np.isfinite(f).all():
+                raise ValueError("product factors must be finite")
             if (f <= 0).any():
                 raise ValueError("product factors must be positive")
 

@@ -41,18 +41,18 @@ def _write_block(out: TextIO, values, per_line: int) -> None:
 
 def dump_instance(inst: Instance, out: TextIO) -> None:
     out.write(f"MAP {inst.s} {inst.n} {inst.family.value} {inst.seed}\n")
-    model = inst.weights
-    if isinstance(model, ExplicitTensor):
+    model, family = inst.weights, inst.family
+    if family == Family.EXPLICIT:
         _write_block(out, model.values, inst.n)
-    elif isinstance(model, (CliqueSum, SquareRootSquares)):
+    elif family in (Family.CLIQUE, Family.SQUAREROOT):
         out.write("DATA\n")
         for pair in combinations(range(inst.s), 2):
             _write_block(out, model.mats[pair], inst.n)
-    elif isinstance(model, ProductWeights):
+    elif family == Family.PRODUCT:
         out.write("DATA\n")
         for f in model.factors:
             _write_block(out, f, inst.n)
-    elif isinstance(model, GeometricPoints):
+    elif family == Family.GEOMETRIC:
         out.write("DATA\n")
         for p in model.points:
             _write_block(out, p, 2)

@@ -114,25 +114,36 @@ def _report(result, w0, w1, passes, ap2, evals, t0, touched=None) -> LocalSearch
 
 
 def dv_search(inst: Instance, a: Assignment, family: DimensionSubsetFamily) -> LocalSearchReport:
-    """Sweep the subset family, applying each strictly improving 2-AP
-    relabeling, until a full pass leaves the assignment unchanged."""
+    """Sweep the subset family cyclically, applying each strictly improving
+    2-AP relabeling, until every subset is known to leave the assignment
+    unchanged.
+
+    A committed subset is not re-solved: every re-permutation of its
+    dimensions from the new assignment stays in the orbit whose optimum the
+    new assignment already is. So the search stops once the |F| - 1 other
+    subsets have been solved without a commit (|F| clean solves when nothing
+    ever commits), and makes (position of the last commit in the solve
+    sequence, 0-based) + |F| solves. `passes` counts the sweeps begun.
+    """
     t0 = time.perf_counter()
     a = a.copy()
     w0 = w = assignment_weight(inst, a)
-    passes = ap2_calls = evals = 0
-    improved = True
-    while improved:
-        improved = False
-        passes += 1
-        for dims in family.sets:
-            m = swap_weight_matrix(inst, a, dims)
-            evals += m.size
-            sigma, cost = solve_ap2(m)
-            ap2_calls += 1
-            if cost < w - EPS:
-                a = apply_dimension_permutation(a, dims, sigma)
-                w = cost
-                improved = True
+    sets = family.sets
+    ap2_calls = evals = 0
+    clean = 0  # subsets known to leave the current assignment unchanged
+    while clean < len(sets):
+        dims = sets[ap2_calls % len(sets)]
+        m = swap_weight_matrix(inst, a, dims)
+        evals += m.size
+        sigma, cost = solve_ap2(m)
+        ap2_calls += 1
+        if cost < w - EPS:
+            a = apply_dimension_permutation(a, dims, sigma)
+            w = cost
+            clean = 1
+        else:
+            clean += 1
+    passes = -(-ap2_calls // len(sets))
     return _report(a, w0, w, passes, ap2_calls, evals, t0)
 
 

@@ -145,6 +145,17 @@ def test_cli_verify_rejects_invalid(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("entry", ["nan", "-40"])
+def test_cli_verify_rejects_bad_weights(tmp_path, entry):
+    inst = tmp_path / "i.map"
+    inst.write_text(f"MAP 3 2 clique 0\nDATA\n1 2\n3 {entry}\n" + "1 2\n3 4\n" * 2)
+    asg = tmp_path / "a.txt"
+    asg.write_text("1 2\n1 2\n")
+    r = run_cli("verify", "--instance", str(inst), "--assignment", str(asg))
+    assert r.returncode == 2
+    assert "error" in r.stderr and "OK" not in r.stdout
+
+
 def test_cli_solve_row(tmp_path):
     r = run_cli("solve", "--name", "3r10", "--index", "1", "--construct", "greedy",
                 "--ls", "sdv", "--header",

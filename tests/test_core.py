@@ -1,5 +1,7 @@
 """Domain types, weight models and the swap primitives."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,92 @@ def test_geometric_zero_distance():
     pts = np.array([[4.0, 9.0], [4.0, 9.0]])
     inst = Instance(3, 2, Family.GEOMETRIC, 0, GeometricPoints([pts, pts, pts]))
     assert inst.weight((0, 1, 0)) == 0.0
+
+
+def _pair_mats(s, n, value=1.0):
+    return {pair: np.full((n, n), value) for pair in combinations(range(s), 2)}
+
+
+@pytest.mark.parametrize("cls", [CliqueSum, SquareRootSquares])
+def test_pair_matrix_validation(cls):
+    cls(3, _pair_mats(3, 2))
+    nan, neg = np.ones((2, 2)), np.ones((2, 2))
+    nan[0, 1], neg[1, 0] = np.nan, -40.0
+    for bad in (np.ones((2, 3)), np.ones((3, 3)), np.ones(2), nan, np.full((2, 2), np.inf), neg):
+        mats = _pair_mats(3, 2)
+        mats[(1, 2)] = bad
+        with pytest.raises(ValueError):
+            cls(3, mats)
+    with pytest.raises(ValueError):
+        cls(3, {(0, 1): np.ones((2, 2))})  # missing pairs
+
+
+def test_geometric_points_validation():
+    pts = np.zeros((2, 2))
+    GeometricPoints([pts, pts, pts])
+    nan = pts.copy()
+    nan[1, 0] = np.nan
+    for bad in (nan, np.zeros((3, 2)), np.zeros((2, 3))):
+        with pytest.raises(ValueError):
+            GeometricPoints([pts, bad, pts])
+
+
+def test_product_factor_validation():
+    ok = np.array([1.0, 2.0])
+    ProductWeights([ok, ok, ok])
+    for bad in ([1.0, np.nan], [1.0, np.inf], [1.0, 0.0]):
+        with pytest.raises(ValueError):
+            ProductWeights([ok, np.array(bad), ok])
+
+
+# Frozen copies of the weight models that derived every geometric distance
+# and every squared distance per row, which the table gathers must match bit
+# for bit.
+def _reference_geometric_batch(points, s, coords):
+    acc = np.zeros(len(coords), dtype=np.float64)
+    for i, j in combinations(range(s), 2):
+        pi = points[i][coords[:, i]]
+        pj = points[j][coords[:, j]]
+        acc += np.hypot(pi[:, 0] - pj[:, 0], pi[:, 1] - pj[:, 1])
+    return np.floor(acc + 0.5)
+
+
+def _reference_geometric_floor(points, s):
+    total = 0.0
+    for i, j in combinations(range(s), 2):
+        pi, pj = points[i], points[j]
+        dx = pi[:, None, 0] - pj[None, :, 0]
+        dy = pi[:, None, 1] - pj[None, :, 1]
+        total += float(np.hypot(dx, dy).min())
+    return float(np.floor(np.asarray(total) + 0.5))
+
+
+def _reference_squareroot_batch(mats, coords):
+    acc = np.zeros(len(coords), dtype=np.float64)
+    for (i, j), d in mats.items():
+        acc += d[coords[:, i], coords[:, j]] ** 2
+    return np.floor(np.sqrt(acc) + 0.5)
+
+
+def _reference_squareroot_floor(mats):
+    return float(np.floor(np.sqrt(sum(d.min() ** 2 for d in mats.values())) + 0.5))
+
+
+@pytest.mark.parametrize("name", ["3g75", "4g25", "5g15", "6g9", "7g6", "8g4",
+                                  "3sr75", "4sr25", "5sr15", "6sr9", "7sr6", "8sr4"])
+def test_pairwise_tables_match_reference(name):
+    for index in (1, 2):
+        inst = generate(parse_instance_name(name, index))
+        model = inst.weights
+        coords = np.random.default_rng(index).integers(0, inst.n, size=(50_000, inst.s))
+        if inst.family == Family.GEOMETRIC:
+            ref = _reference_geometric_batch(model.points, inst.s, coords)
+            ref_floor = _reference_geometric_floor(model.points, inst.s)
+        else:
+            ref = _reference_squareroot_batch(model.mats, coords)
+            ref_floor = _reference_squareroot_floor(model.mats)
+        assert np.array_equal(inst.weight_batch(coords), ref)
+        assert inst.min_weight_floor() == ref_floor
 
 
 def test_weight_out_of_range_rejected():

@@ -16,7 +16,8 @@ from mapls import (
 
 from conftest import all_vectors, explicit_instance
 
-ALL_FAMILY_NAMES = ["3r5", "3gp5", "3c5", "3g5", "3p5", "3sr5"]
+ALL_FAMILY_NAMES = ["3r5", "3gp5", "3c5", "3g5", "3p5", "3sr5",
+                    "4r4", "4gp4", "4c4", "4g4", "4p4", "4sr4"]
 
 
 @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)

@@ -7,6 +7,7 @@ import pytest
 
 from mapls import (
     Assignment,
+    apply_dimension_permutation,
     assignment_weight,
     build_family,
     combined,
@@ -22,7 +23,7 @@ from mapls import (
     v_opt,
 )
 from mapls.core import row_weights
-from mapls.localsearch import EPS, _swap_masks, make_local_search
+from mapls.localsearch import DV_VARIANTS, EPS, _swap_masks, make_local_search
 from mapls.rng import SplitMix64
 
 from conftest import brute_force_optimum, explicit_instance, random_explicit
@@ -117,6 +118,80 @@ def test_dv_monotone_and_valid(rng):
             assert r.final_weight <= r.initial_weight + 1e-9
             r.result.validate()
             assert abs(assignment_weight(inst, r.result) - r.final_weight) < 1e-9
+
+
+# Frozen copy of the dv_search that re-solved a whole clean pass after its
+# last commit; it also returns the 0-based solve positions of its commits.
+def _reference_dv_search(inst, a, family):
+    a = a.copy()
+    w = assignment_weight(inst, a)
+    passes = ap2_calls = 0
+    commits = []
+    improved = True
+    while improved:
+        improved = False
+        passes += 1
+        for dims in family.sets:
+            m = swap_weight_matrix(inst, a, dims)
+            sigma, cost = solve_ap2(m)
+            ap2_calls += 1
+            if cost < w - EPS:
+                a = apply_dimension_permutation(a, dims, sigma)
+                w = cost
+                improved = True
+                commits.append(ap2_calls - 1)
+    return a, w, passes, ap2_calls, commits
+
+
+def _assert_dv_matches_reference(inst, seed=0):
+    rng = SplitMix64(seed)
+    for variant in DV_VARIANTS:
+        fam = build_family(variant, inst.s)
+        a = trivial(inst)
+        opt = _reference_dv_search(inst, a, fam)[0]
+        for start in [a] + [perturb(opt, rng) for _ in range(3)]:
+            ref, ref_w, _, ref_calls, commits = _reference_dv_search(inst, start, fam)
+            r = dv_search(inst, start, fam)
+            assert r.result == ref
+            assert r.final_weight == ref_w
+            assert r.ap2_calls == (commits[-1] if commits else 0) + len(fam) <= ref_calls
+            assert r.passes == -(-r.ap2_calls // len(fam))
+
+
+def test_dv_matches_reference_explicit(rng):
+    for s, n in ((3, 6), (4, 5), (5, 4), (6, 3)):
+        # non-integer weights
+        inst = explicit_instance(s, n, rng.uniform(0.0, 1.0, size=n**s))
+        _assert_dv_matches_reference(inst, seed=s)
+        # few distinct values: many ties in the 2-AP optima
+        inst = random_explicit(s, n, rng, lo=0, hi=3)
+        _assert_dv_matches_reference(inst, seed=s)
+
+
+@pytest.mark.parametrize("name", ["3r12", "4gp6", "3c10", "4g6", "3sr10", "5p5"])
+def test_dv_matches_reference_generated(name):
+    for index in (1, 2):
+        _assert_dv_matches_reference(generate(parse_instance_name(name, index)), seed=index)
+
+
+def test_combined_sdv_vopt_matches_reference():
+    inst = generate(parse_instance_name("4r6", 1))
+    fam = build_family("sdv", 4)
+    start = perturb(trivial(inst), SplitMix64(1))  # dv, v-opt and dv again all improve
+    # combined's loop, over the frozen dv_search
+    a, w = _reference_dv_search(inst, start, fam)[:2]
+    while True:
+        x = w
+        rv = v_opt(inst, a)
+        a, w = rv.result, rv.final_weight
+        if w >= x - EPS:
+            break
+        x = w
+        a, w = _reference_dv_search(inst, a, fam)[:2]
+        if w >= x - EPS:
+            break
+    r = combined(inst, start, fam, "vopt")
+    assert r.result == a and r.final_weight == w
 
 
 # -- k-opt -------------------------------------------------------------------
