@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 
 from .construct import greedy, max_regret, rom, trivial
 from .core import Instance
-from .generate import FamilySpec, TAG_BY_FAMILY, generate, known_optimum, parse_instance_name
+from .generate import (
+    FamilySpec,
+    TAG_BY_FAMILY,
+    family_optimum,
+    generate,
+    known_optimum,
+    parse_instance_name,
+)
 from .localsearch import EPS, LS_NAMES, V_VARIANTS, make_local_search
 from .meta import MetaConfig, chain, multichain
 
@@ -241,7 +248,8 @@ def update_best_known(path: str, name: str, index: int, value: float) -> bool:
     it improved. Rejects values below a proven family lower bound."""
     if not math.isfinite(value):
         raise ValueError("weight must be finite")
-    bound = known_optimum(generate(parse_instance_name(name, index)))
+    spec = parse_instance_name(name, index)
+    bound = family_optimum(spec.family, spec.n, spec.params)
     if bound is not None and value < bound - EPS:
         raise ValueError(
             f"{name} #{index}: weight {value} is below proven lower bound {bound}"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -49,6 +50,22 @@ class WeightModel:
         raise NotImplementedError
 
 
+@lru_cache(maxsize=64)
+def _rank_strides(n: int, s: int) -> np.ndarray:
+    """uint64 place values of the lexicographic rank on the grid {0..n-1}^s
+    (dimension 0 most significant); read-only, built once per (n, s)."""
+    strides = n ** np.arange(s - 1, -1, -1, dtype=np.uint64)
+    strides.flags.writeable = False
+    return strides
+
+
+def _ranks(n: int, s: int, coords: np.ndarray) -> np.ndarray:
+    """Lexicographic ranks of an (m, s) int64 array, a fresh uint64 array.
+    The product runs on a uint64 view of the coordinates, so nothing is
+    copied; it wraps mod 2^64, which is exact while n^s <= 2^64."""
+    return coords.view(np.uint64) @ _rank_strides(n, s)
+
+
 class LazyRandom(WeightModel):
     """Uniform integer weights in [a, b-1], computed on demand.
 
@@ -67,16 +84,21 @@ class LazyRandom(WeightModel):
             raise ValueError("weights must be non-negative, need a >= 0")
         self.a = int(a)
         self.b = int(b)
+        self._span, self._base = np.uint64(self.b - self.a), np.float64(self.a)
 
-    def _lazy_values(self, inst: "Instance", coords: np.ndarray) -> np.ndarray:
-        strides = (inst.n ** np.arange(inst.s - 1, -1, -1, dtype=np.uint64)).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            rank = coords.astype(np.uint64) @ strides
-            z = mix64_array(np.uint64(mix64(inst.seed)) + rank)
-        return (z % np.uint64(self.b - self.a)).astype(np.float64) + self.a
+    def _rank_weights(self, inst: "Instance", rank: np.ndarray) -> np.ndarray:
+        """Weights of the vectors with the given ranks, computed in the
+        rank array's own buffer, which is overwritten."""
+        rank += np.uint64(mix64(inst.seed))
+        z = mix64_array(rank)
+        np.remainder(z, self._span, out=z)
+        w = z.view(np.float64)
+        w[...] = z
+        w += self._base
+        return w
 
     def batch(self, inst, coords):
-        return self._lazy_values(inst, coords)
+        return self._rank_weights(inst, _ranks(inst.n, inst.s, coords))
 
     def min_weight_floor(self, inst):
         return float(self.a)
@@ -84,18 +106,20 @@ class LazyRandom(WeightModel):
 
 class Planted(LazyRandom):
     """LazyRandom overridden to value a on the n vectors of a planted
-    assignment, which is therefore an optimal solution of weight a*n."""
+    assignment, which is therefore an optimal solution of weight a*n. The
+    planted vectors' ranks are computed once, indexed by their row (their
+    dimension-0 coordinate), so a vector is planted iff its rank equals the
+    planted rank of its row."""
 
     def __init__(self, a: int, b: int, planted: "Assignment"):
         super().__init__(a, b)
         self.planted = planted
+        self._planted_rank = _ranks(planted.n, planted.s, planted.perms.T)
 
     def batch(self, inst, coords):
-        w = self._lazy_values(inst, coords)
-        rows = coords[:, 0]
-        hit = np.ones(len(coords), dtype=bool)
-        for j in range(1, inst.s):
-            hit &= coords[:, j] == self.planted.perms[j][rows]
+        rank = _ranks(inst.n, inst.s, coords)
+        hit = rank == self._planted_rank[coords[:, 0]]
+        w = self._rank_weights(inst, rank)
         w[hit] = self.a
         return w
 

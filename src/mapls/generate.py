@@ -158,10 +158,18 @@ def build_generated_instance(
     raise ValueError(f"unsupported family for generation: {family}")
 
 
+def family_optimum(family: Family, n: int, params: dict | None = None) -> float | None:
+    """Provable optimal weight of a generated instance when its family pins
+    one down, read from the spec alone: a*n for random (overwhelmingly
+    likely, used as the benchmark denominator) and planted (exact by
+    construction), with a taken from params as the generator takes it."""
+    if family in (Family.RANDOM, Family.PLANTED):
+        return float((params or {}).get("a", RANDOM_RANGE[0]) * n)
+    return None
+
+
 def known_optimum(inst: Instance) -> float | None:
-    """Provable optimal weight when the family pins one down: a*n for random
-    (overwhelmingly likely, used as the benchmark denominator) and planted
-    (exact by construction)."""
+    """family_optimum of an instance, with a read from its weight model."""
     if isinstance(inst.weights, LazyRandom):
-        return float(inst.weights.a * inst.n)
+        return family_optimum(inst.family, inst.n, {"a": inst.weights.a})
     return None

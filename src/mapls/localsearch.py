@@ -317,8 +317,17 @@ def v_opt(inst: Instance, a: Assignment, variant: str = "improved") -> LocalSear
       total (compared without EPS, so rounding cannot hide an improving
       state), the chain stops.
 
-    candidate_evals includes the table's evaluations. The chain compares
-    an incrementally updated total; final_weight is the sum of the
+    Each chain step is one weight batch: the current vector against every
+    swap mask of every available row. Mask 0 swaps nothing, so the batch
+    also weighs the current vector, which is v-bar of the step before; that
+    step's total update and best check therefore run after the batch and
+    before the chain cut. Only a chain that runs out of available rows
+    weighs its last v-bar on its own.
+
+    candidate_evals counts every weight evaluated: the table's, each chain
+    step's batch (also the batch of a step the chain cut then ends), and
+    the one-vector batch of a chain that runs out of rows. The chain
+    compares an incrementally updated total; final_weight is the sum of the
     re-evaluated row weights, so it carries no accumulated rounding.
     """
     if variant not in V_VARIANTS:
@@ -354,42 +363,50 @@ def v_opt(inst: Instance, a: Assignment, variant: str = "improved") -> LocalSear
             avail[c0] = False
             c_row = c0
             gain = 0.0
-            while avail.any():
+            pending = None  # the step taken last, until its w(v-bar) is read
+            while True:
                 rows = np.flatnonzero(avail)
+                c_vec = a.perms[:, c_row]
+                if len(rows):
+                    m_coords = a.perms[:, rows].T  # (t, s)
+                    cand = np.where(masks[None, :, :], m_coords[:, None, :], c_vec[None, None, :])
+                    w = inst.weight_batch(cand.reshape(-1, s)).reshape(len(rows), -1)
+                    evals += w.size
+                if pending is not None:
+                    # c_vec is v-bar; mask 0 swaps nothing, so column 0 holds its weight
+                    if len(rows):
+                        w_vbar = float(w[0, 0])
+                    else:
+                        w_vbar = float(inst.weight_batch(c_vec[None, :])[0])
+                        evals += 1
+                    w_v, p_row, m_row, v_row = pending
+                    total += w_v + w_vbar - float(w_rows[p_row]) - float(w_rows[m_row])
+                    w_rows[v_row] = w_v
+                    w_rows[c_row] = w_vbar
+                    if total < best_total - EPS:
+                        best_perms = a.perms.copy()
+                        best_rows = w_rows.copy()
+                        best_total = total
+                if not len(rows):
+                    break
                 lb = (total - float(w_rows[c_row]) - float(w_rows[rows].sum())
                       + (len(rows) + 1) * floor)
                 if lb >= best_total:
                     break
-                c_vec = a.perms[:, c_row]
-                m_coords = a.perms[:, rows].T  # (t, s)
-                cand = np.where(masks[None, :, :], m_coords[:, None, :], c_vec[None, None, :])
-                w = inst.weight_batch(cand.reshape(-1, s)).reshape(len(rows), -1)
-                evals += w.size
-                per_row = w.min(axis=1)
-                mi = int(np.argmin(per_row))
-                di = int(np.argmin(w[mi]))
-                m_row = int(rows[mi])
-                v = cand[mi, di]
+                # the first minimum in row-major order, as min/argmin per row
+                mi, di = divmod(int(np.argmin(w)), len(masks))
                 w_v = float(w[mi, di])
-
                 gain += float(w_rows[c_row]) - w_v
                 if gain <= EPS:
                     break
-                m_vec = a.perms[:, m_row]
-                v_bar = np.where(v == c_vec, m_vec, c_vec)
+                m_row = int(rows[mi])
+                v = cand[mi, di]
+                v_bar = np.where(v == c_vec, a.perms[:, m_row], c_vec)
                 avail[m_row] = False
-                w_vbar = float(inst.weight_batch(v_bar[None, :])[0])
-                evals += 1
-                total += w_v + w_vbar - float(w_rows[c_row]) - float(w_rows[m_row])
+                pending = (w_v, c_row, m_row, int(v[0]))
                 a.perms[:, v[0]] = v
                 a.perms[:, v_bar[0]] = v_bar
-                w_rows[v[0]] = w_v
-                w_rows[v_bar[0]] = w_vbar
                 c_row = int(v_bar[0])
-                if total < best_total - EPS:
-                    best_perms = a.perms.copy()
-                    best_rows = w_rows.copy()
-                    best_total = total
             # keep the best assignment seen along the chain
             a.perms[:] = best_perms
             w_rows[:] = best_rows

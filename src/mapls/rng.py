@@ -13,6 +13,9 @@ GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 _C1 = 0xBF58476D1CE4E5B9
 _C2 = 0x94D049BB133111EB
+# the same constants as uint64 scalars, so array ops need no conversion
+_U_C1, _U_C2, _U_GAMMA = np.uint64(_C1), np.uint64(_C2), np.uint64(GOLDEN_GAMMA)
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
 def mix64(x: int) -> int:
@@ -23,15 +26,16 @@ def mix64(x: int) -> int:
     return (z ^ (z >> 31)) & MASK64
 
 
-def mix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized mix64 over a uint64 array."""
-    with np.errstate(over="ignore"):
-        z = x.astype(np.uint64, copy=True)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_C1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_C2)
-        z ^= z >> np.uint64(31)
+def mix64_array(z: np.ndarray) -> np.ndarray:
+    """Vectorized mix64, in place: z must be a writable uint64 array. It is
+    overwritten with the result and returned, and no copy is made. Array
+    arithmetic wraps mod 2^64 without warnings.
+    """
+    z ^= z >> _U30
+    z *= _U_C1
+    z ^= z >> _U27
+    z *= _U_C2
+    z ^= z >> _U31
     return z
 
 
@@ -52,10 +56,11 @@ class SplitMix64:
 
     def next_block(self, m: int) -> np.ndarray:
         """Next m outputs as a uint64 array (identical to m next_u64 calls)."""
-        ks = np.arange(self._count + 1, self._count + m + 1, dtype=np.uint64)
+        z = np.arange(self._count + 1, self._count + m + 1, dtype=np.uint64)
         self._count += m
-        with np.errstate(over="ignore"):
-            return mix64_array(np.uint64(self.seed) + ks * np.uint64(GOLDEN_GAMMA))
+        z *= _U_GAMMA
+        z += np.uint64(self.seed)
+        return mix64_array(z)
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] inclusive (modulo reduction; the bias

@@ -45,6 +45,21 @@ def test_registry_rejects_below_lower_bound(tmp_path):
     assert update_best_known(reg, "3r20", 1, 20.0) is True
 
 
+def test_registry_bound_needs_no_generation(tmp_path, monkeypatch):
+    # the a*n bound comes from the parsed name, not from a generated instance
+    import mapls.bench as bench
+
+    def refuse(spec):
+        raise AssertionError(f"generated {spec.name}")
+
+    monkeypatch.setattr(bench, "generate", refuse)
+    reg = str(tmp_path / "reg.txt")
+    assert update_best_known(reg, "3c10", 1, 500.0) is True
+    with pytest.raises(ValueError, match="below proven lower bound"):
+        update_best_known(reg, "3r20", 1, 19.0)
+    assert read_registry(reg) == {("3c10", 1): 500.0}
+
+
 def test_registry_corrupt_line(tmp_path):
     reg = tmp_path / "reg.txt"
     reg.write_text("3c10 1 500\ngarbage line here oops\n")

@@ -14,15 +14,18 @@ from mapls import (
     Family,
     GeometricPoints,
     Instance,
+    Planted,
     ProductWeights,
     SquareRootSquares,
     apply_dimension_permutation,
     assignment_weight,
+    build_generated_instance,
     generate,
     parse_instance_name,
     swap_vectors,
     swap_weight_matrix,
 )
+from mapls.rng import mix64, mix64_array
 
 from conftest import explicit_instance
 
@@ -145,6 +148,81 @@ def test_pairwise_tables_match_reference(name):
             ref_floor = _reference_squareroot_floor(model.mats)
         assert np.array_equal(inst.weight_batch(coords), ref)
         assert inst.min_weight_floor() == ref_floor
+
+
+# Frozen copies of the random and planted kernels that ranked a uint64 copy
+# of the coordinates and masked planted vectors with s - 1 gathers, which the
+# in-place kernel must match bit for bit.
+def _reference_mix64_array(x):
+    with np.errstate(over="ignore"):
+        z = x.astype(np.uint64, copy=True)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+    return z
+
+
+def _reference_lazy_batch(inst, coords):
+    model = inst.weights
+    strides = (inst.n ** np.arange(inst.s - 1, -1, -1, dtype=np.uint64)).astype(np.uint64)
+    with np.errstate(over="ignore"):
+        rank = coords.astype(np.uint64) @ strides
+        z = _reference_mix64_array(np.uint64(mix64(inst.seed)) + rank)
+    w = (z % np.uint64(model.b - model.a)).astype(np.float64) + model.a
+    if isinstance(model, Planted):
+        rows = coords[:, 0]
+        hit = np.ones(len(coords), dtype=bool)
+        for j in range(1, inst.s):
+            hit &= coords[:, j] == model.planted.perms[j][rows]
+        w[hit] = model.a
+    return w
+
+
+def _lazy_instances():
+    # s = 3..8 at roster and desk sizes, plus the rank boundary n^s = 2^64
+    for tag in ("r", "gp"):
+        for shape in ("3{}150", "4{}25", "5{}40", "6{}9", "7{}6", "8{}4", "8{}256"):
+            for index in (1, 2):
+                yield generate(parse_instance_name(shape.format(tag), index))
+    for family in (Family.RANDOM, Family.PLANTED):
+        yield build_generated_instance(family, 4, 9, 123, {"a": 5, "b": 17})
+
+
+@pytest.mark.filterwarnings("error")
+def test_lazy_kernel_matches_reference():
+    rng = np.random.default_rng(5)
+    for inst in _lazy_instances():
+        s, n = inst.s, inst.n
+        corners = np.array([[0] * s, [n - 1] * s, [n - 1] + [0] * (s - 1)], dtype=np.int64)
+        coords = np.vstack([corners, rng.integers(0, n, size=(20_000, s))])
+        assert np.array_equal(inst.weight_batch(coords), _reference_lazy_batch(inst, coords))
+        if inst.family == Family.PLANTED:
+            planted = inst.weights.planted.perms.T
+            w = inst.weight_batch(planted)
+            assert np.array_equal(w, _reference_lazy_batch(inst, planted))
+            assert (w == inst.weights.a).all()
+        # empty, int32, and a non-contiguous slice (both axes strided)
+        empty = np.zeros((0, s), dtype=np.int64)
+        assert inst.weight_batch(empty).shape == (0,)
+        assert np.array_equal(inst.weight_batch(coords.astype(np.int32)),
+                              _reference_lazy_batch(inst, coords))
+        wide = rng.integers(0, n, size=(3000, 2 * s))
+        sliced = wide[::3, ::2]
+        assert not sliced.flags.c_contiguous and not sliced.flags.f_contiguous
+        assert np.array_equal(inst.weight_batch(sliced), _reference_lazy_batch(inst, sliced))
+        # the input is read, never written
+        assert np.array_equal(wide[::3, ::2], sliced)
+
+
+def test_mix64_array_in_place():
+    x = np.arange(1, 1001, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    copy = x.copy()
+    ref = _reference_mix64_array(copy)
+    out = mix64_array(x)
+    assert out is x and np.array_equal(x, ref)
+    assert [int(v) for v in ref[:5]] == [mix64(int(v)) for v in copy[:5]]
 
 
 def test_weight_out_of_range_rejected():

@@ -10,7 +10,7 @@ from mapls import (
     known_optimum,
     parse_instance_name,
 )
-from mapls.generate import FamilySpec
+from mapls.generate import FamilySpec, family_optimum
 from mapls.meta import perturb
 from mapls.rng import SplitMix64
 
@@ -88,6 +88,14 @@ def test_known_optimum():
     assert known_optimum(generate(parse_instance_name("3r150", 1))) == 150.0
     assert known_optimum(generate(parse_instance_name("5gp12", 1))) == 12.0
     assert known_optimum(generate(parse_instance_name("3c10", 1))) is None
+
+
+def test_family_optimum_matches_known_optimum():
+    for name in ("3r150", "5gp12", "3c10", "4g6", "3sr10", "5p5"):
+        spec = parse_instance_name(name, 2)
+        assert family_optimum(spec.family, spec.n, spec.params) == known_optimum(generate(spec))
+    spec = FamilySpec(Family.PLANTED, 4, 9, 1, {"a": 5, "b": 17})
+    assert family_optimum(spec.family, spec.n, spec.params) == known_optimum(generate(spec)) == 45.0
 
 
 def test_nearby_seeds_give_unrelated_instances():

@@ -7,6 +7,7 @@ import pytest
 
 from mapls import (
     Assignment,
+    Instance,
     apply_dimension_permutation,
     assignment_weight,
     build_family,
@@ -570,6 +571,28 @@ def test_vopt_final_weight_is_exact(rng):
     for inst, _ in _hidden_assignment_instances(rng):
         r = v_opt(inst, trivial(inst))
         assert r.final_weight == assignment_weight(inst, r.result)
+
+
+def test_vopt_batches_once_per_chain_step(monkeypatch):
+    # w(v-bar) is read from the next step's empty-swap column, so a one-row
+    # weight_batch call is made only after a chain's batch over its last
+    # available row (the |masks| candidates of that row), once per chain
+    inst = generate(parse_instance_name("5r8", 1))
+    n_masks = len(_swap_masks(inst.s, inst.s // 2))
+    sizes = []
+    weight_batch = Instance.weight_batch
+
+    def counting(self, coords):
+        sizes.append(len(coords))
+        return weight_batch(self, coords)
+
+    monkeypatch.setattr(Instance, "weight_batch", counting)
+    r = v_opt(inst, trivial(inst))
+    one_row = [i for i, m in enumerate(sizes) if m == 1]
+    assert r.final_weight < r.initial_weight
+    assert one_row, "no chain ran out of rows: pick an instance with longer chains"
+    assert all(sizes[i - 1] == n_masks for i in one_row)
+    assert len(one_row) <= r.passes * inst.n
 
 
 def test_vopt_requires_n_at_least_two():
