@@ -29,9 +29,7 @@ from .core import (
     WeightModel,
     apply_dimension_permutation,
     assignment_weight,
-    swap_vectors,
     swap_weight_matrix,
-    weight,
 )
 from .files import load_assignment, load_instance, save_assignment, save_instance
 from .generate import FamilySpec, build_generated_instance, generate, known_optimum, parse_instance_name

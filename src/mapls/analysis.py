@@ -14,10 +14,18 @@ from dataclasses import dataclass
 from .localsearch import DV_VARIANTS
 
 
+def _check_shape(s: int, n: int = 1) -> None:
+    if s < 3:
+        raise ValueError(f"s must be >= 3, got {s}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+
+
 def dv_family_size(variant: str, s: int) -> int:
     """|D| for a DV variant."""
     if variant not in DV_VARIANTS:
         raise ValueError(f"unknown DV variant {variant!r}")
+    _check_shape(s)
     if variant == "1dv":
         return s
     if variant == "2dv":
@@ -27,8 +35,7 @@ def dv_family_size(variant: str, s: int) -> int:
 
 def nbhd_size_dv(variant: str, s: int, n: int) -> int:
     """|N_DV| = |D| * (n! - 1) + 1."""
-    if s < 3:
-        raise ValueError("s must be >= 3")
+    _check_shape(s, n)
     return dv_family_size(variant, s) * (math.factorial(n) - 1) + 1
 
 
@@ -46,6 +53,7 @@ def nbhd_size_kopt(k: int, s: int, n: int) -> int:
     """|N_k-opt| = 1 + sum_{i=2..k} C(n,i) * N^i (C handles k > n)."""
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
+    _check_shape(s, n)
     total = 1
     for i in range(2, k + 1):
         total += math.comb(n, i) * kopt_moves(i, s)
@@ -68,6 +76,7 @@ def nbhd_size_combined(variant: str, k: int, s: int, n: int) -> int:
     Valid for every (variant, k) pair, including sdv with k=2, for which it
     collapses onto |N_sDV| (the search itself rejects that pairing).
     """
+    _check_shape(s, n)
     d = dv_family_size(variant, s)
     total = 1 + d * (math.factorial(n) - 1)
     for i in range(2, k + 1):
@@ -88,6 +97,7 @@ def optimum_probability_bound(s: int, n: int, c: int) -> BoundResult:
     assignment: 1 - exp(-1/(2 sigma)) with
     sigma = sum_{k=1..n-2} C(n,k) c^k / [n (n-1) ... (n-k+1)]^(s-1),
     applicable when ((n-1)/e)^(s-1) >= c * 2^(1/(n-1))."""
+    _check_shape(s)
     if n < 3:
         raise ValueError("the bound needs n >= 3")
     if c < 1:

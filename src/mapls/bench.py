@@ -89,6 +89,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown local search {self.ls!r}")
         if self.ls_variant not in V_VARIANTS:
             raise ValueError(f"unknown v-opt variant {self.ls_variant!r}")
+        if not self.instance_names or not self.indices:
+            raise ValueError("need at least one instance name and one index")
         if any(index < 1 for index in self.indices):
             raise ValueError(f"instance indices must be >= 1, got {self.indices}")
         for name in self.instance_names:

@@ -1,15 +1,13 @@
 """Construction heuristics: trivial, greedy, max-regret and ROM.
 
-Greedy and max-regret scan the grid of vectors compatible with the current
-partial assignment in lexicographic order, in bounded numpy blocks so that
-even n^s in the hundreds of millions stays tractable. Ties are always broken
-toward the lexicographically smallest vector, which keeps every heuristic
-deterministic.
+Greedy and max-regret run the same rounds, each scanning the grid of
+vectors compatible with the current partial assignment in lexicographic
+order, in bounded numpy blocks so that even n^s in the hundreds of millions
+stays tractable. Ties are always broken toward the lexicographically
+smallest vector, which keeps every heuristic deterministic.
 """
 
 from __future__ import annotations
-
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -25,8 +23,10 @@ def trivial(inst: Instance) -> Assignment:
 
 
 def _iter_grid_blocks(sets: list[np.ndarray], limit: int = BLOCK_ROWS):
-    """Yield (B, s) coordinate blocks of the cartesian product of `sets`,
-    in lexicographic order (dim 0 most significant)."""
+    """Yield (prefix, block) over the cartesian product of `sets` in
+    lexicographic order (dim 0 most significant). Each (B, s) block fixes the
+    leading dims to `prefix`, their positions in sets[:len(prefix)], and runs
+    the trailing dims over their whole product of at most `limit` rows."""
     s = len(sets)
     sizes = [len(x) for x in sets]
     split = s
@@ -34,19 +34,12 @@ def _iter_grid_blocks(sets: list[np.ndarray], limit: int = BLOCK_ROWS):
     while split > 0 and suffix * sizes[split - 1] <= limit:
         split -= 1
         suffix *= sizes[split]
-    tail = sets[split:]
-    if tail:
-        mesh = np.meshgrid(*tail, indexing="ij")
-        tail_coords = np.stack([m.ravel() for m in mesh], axis=1).astype(np.int64)
-    else:
-        tail_coords = np.zeros((1, 0), dtype=np.int64)
-    rows = len(tail_coords)
-    block = np.empty((rows, s), dtype=np.int64)
-    block[:, split:] = tail_coords
-    for prefix in iter_product(*sets[:split]):
-        for j, v in enumerate(prefix):
-            block[:, j] = v
-        yield block
+    block = np.empty((suffix, s), dtype=np.int64)
+    for j, m in enumerate(np.meshgrid(*sets[split:], indexing="ij"), start=split):
+        block[:, j] = m.ravel()
+    for prefix in np.ndindex(*sizes[:split]):
+        block[:, :split] = [x[p] for x, p in zip(sets, prefix)]
+        yield prefix, block
 
 
 def _min_compatible_vector(inst: Instance, sets: list[np.ndarray], floor: float):
@@ -54,7 +47,7 @@ def _min_compatible_vector(inst: Instance, sets: list[np.ndarray], floor: float)
     stopping early as soon as the instance-wide weight floor is attained."""
     best_w = np.inf
     best = None
-    for block in _iter_grid_blocks(sets):
+    for _, block in _iter_grid_blocks(sets):
         w = inst.weight_batch(block)
         k = int(np.argmin(w))
         if w[k] < best_w:
@@ -62,91 +55,65 @@ def _min_compatible_vector(inst: Instance, sets: list[np.ndarray], floor: float)
             best = block[k].copy()
             if best_w <= floor:
                 break
-    return best, best_w
+    return best
+
+
+def _rounds(inst: Instance, pick) -> Assignment:
+    """n rounds, each committing the vector pick(remaining) and removing its
+    values from the per-dimension sets of unused values."""
+    remaining = [np.arange(inst.n, dtype=np.int64) for _ in range(inst.s)]
+    chosen = np.empty((inst.n, inst.s), dtype=np.int64)
+    for t in range(inst.n):
+        chosen[t] = pick(remaining)
+        remaining = [r[r != v] for r, v in zip(remaining, chosen[t])]
+    return Assignment(chosen[np.argsort(chosen[:, 0])].T)
 
 
 def greedy(inst: Instance) -> Assignment:
     """n rounds, each committing the cheapest vector compatible with the
     partial assignment."""
-    s, n = inst.s, inst.n
     model = inst.weights
-    remaining = [np.arange(n, dtype=np.int64) for _ in range(s)]
-    chosen = np.empty((n, s), dtype=np.int64)
     floor = inst.min_weight_floor()
-    for t in range(n):
+
+    def pick(sets):
         if isinstance(model, ProductWeights):
             # the compatible minimum factors per dimension; exact shortcut
-            vec = np.empty(s, dtype=np.int64)
-            for j in range(s):
-                vals = model.factors[j][remaining[j]]
-                vec[j] = remaining[j][int(np.argmin(vals))]
-        else:
-            vec, _ = _min_compatible_vector(inst, remaining, floor)
-        chosen[t] = vec
-        for j in range(s):
-            remaining[j] = remaining[j][remaining[j] != vec[j]]
-    return _vectors_to_assignment(chosen)
+            return [r[int(np.argmin(f[r]))] for f, r in zip(model.factors, sets)]
+        return _min_compatible_vector(inst, sets, floor)
 
-
-def _vectors_to_assignment(vectors: np.ndarray) -> Assignment:
-    order = np.argsort(vectors[:, 0])
-    return Assignment(vectors[order].T)
-
-
-def _merge_best_two(b1, b2, c1, c2):
-    """Per-element two smallest values of the union of (b1, b2) and (c1, c2)."""
-    m1 = np.minimum(b1, c1)
-    m2 = np.minimum(np.maximum(b1, c1), np.minimum(b2, c2))
-    return m1, m2
+    return _rounds(inst, pick)
 
 
 def max_regret(inst: Instance) -> Assignment:
     """n rounds; each scores every (dimension, unused value) slot by the gap
     between its best and second-best compatible vectors and commits the best
     vector of the widest-gap slot."""
-    s, n = inst.s, inst.n
-    remaining = [np.arange(n, dtype=np.int64) for _ in range(s)]
-    chosen = np.empty((n, s), dtype=np.int64)
-    for t in range(n):
-        m = len(remaining[0])
-        if m == 1:
-            chosen[t] = [r[0] for r in remaining]
-        else:
-            chosen[t] = _max_regret_round(inst, remaining)
-        for j in range(s):
-            remaining[j] = remaining[j][remaining[j] != chosen[t][j]]
-    return _vectors_to_assignment(chosen)
+    return _rounds(inst, lambda sets: _max_regret_pick(inst, sets))
 
 
-def _max_regret_round(inst: Instance, sets: list[np.ndarray]) -> np.ndarray:
-    s, n = inst.s, inst.n
-    best1 = np.full((s, n), np.inf)
-    best2 = np.full((s, n), np.inf)
-    for block in _iter_grid_blocks(sets):
-        w = inst.weight_batch(block)
-        for j in range(s):
-            cols = block[:, j]
-            b1 = np.full(n, np.inf)
-            np.minimum.at(b1, cols, w)
-            at_min = w == b1[cols]
-            cnt = np.zeros(n, dtype=np.int64)
-            np.add.at(cnt, cols[at_min], 1)
-            b2 = np.where(cnt >= 2, b1, np.inf)
-            above = w > b1[cols]
-            np.minimum.at(b2, cols[above], w[above])
-            best1[j], best2[j] = _merge_best_two(best1[j], best2[j], b1, b2)
-
-    pick_j, pick_v, pick_regret = 0, int(sets[0][0]), -np.inf
-    for j in range(s):
-        for v in sets[j]:
-            regret = best2[j, v] - best1[j, v]
-            if regret > pick_regret:
-                pick_j, pick_v, pick_regret = j, int(v), regret
-
+def _max_regret_pick(inst: Instance, sets: list[np.ndarray]) -> np.ndarray:
+    """best[j, p] holds the two smallest weights of the vectors through
+    value sets[j][p]. A block's weights form an m^(s-k) cube over its tail
+    dims, so a tail dim's slots read theirs off one partition along its axis;
+    every vector of the block passes through the slots its prefix fixes.
+    Each block's two smallest are merged into `best` by a sort of four."""
+    s, m = inst.s, len(sets[0])
+    best = np.full((s, m, 2), np.inf)
+    for prefix, block in _iter_grid_blocks(sets):
+        k = len(prefix)
+        w = inst.weight_batch(block).reshape((m,) * (s - k))
+        for j in range(k, s):
+            cand = np.moveaxis(w, j - k, 0).reshape(m, -1)
+            cand = np.partition(cand, min(1, cand.shape[1] - 1), axis=1)[:, :2]
+            best[j] = np.sort(np.concatenate([best[j], cand], axis=1), axis=1)[:, :2]
+        cand = np.partition(w, min(1, w.size - 1), axis=None)[:2]
+        for j, p in enumerate(prefix):
+            best[j, p] = np.sort(np.concatenate([best[j, p], cand]))[:2]
+    # argmax takes the first widest gap: the lowest dimension, then value
+    j, p = divmod(int(np.argmax(best[..., 1] - best[..., 0])), m)
     slot_sets = list(sets)
-    slot_sets[pick_j] = np.asarray([pick_v], dtype=np.int64)
-    vec, _ = _min_compatible_vector(inst, slot_sets, -np.inf)
-    return vec
+    slot_sets[j] = sets[j][p : p + 1]
+    return _min_compatible_vector(inst, slot_sets, -np.inf)
 
 
 def rom(inst: Instance) -> Assignment:

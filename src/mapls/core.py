@@ -139,8 +139,7 @@ class ExplicitTensor(WeightModel):
         self._min = float(vals.min()) if len(vals) else 0.0
 
     def batch(self, inst, coords):
-        strides = inst.n ** np.arange(inst.s - 1, -1, -1, dtype=np.int64)
-        return self.values[coords @ strides]
+        return self.values[_ranks(inst.n, inst.s, coords)]
 
     def min_weight_floor(self, inst):
         return self._min
@@ -297,10 +296,6 @@ class Assignment:
     def identity(cls, s: int, n: int) -> "Assignment":
         return cls(np.tile(np.arange(n, dtype=np.int64), (s, 1)))
 
-    @classmethod
-    def from_perm_rows(cls, rows: Iterable[Sequence[int]]) -> "Assignment":
-        return cls(np.asarray(list(rows), dtype=np.int64))
-
     @property
     def s(self) -> int:
         return self.perms.shape[0]
@@ -342,11 +337,6 @@ class Assignment:
         return f"Assignment(s={self.s}, n={self.n})"
 
 
-def weight(inst: Instance, e: Sequence[int]) -> float:
-    """Weight of one vector (0-based coordinates)."""
-    return inst.weight(e)
-
-
 def assignment_weight(inst: Instance, a: Assignment) -> float:
     """Total weight of an assignment's n vectors."""
     return float(inst.weight_batch(a.perms.T).sum())
@@ -355,15 +345,6 @@ def assignment_weight(inst: Instance, a: Assignment) -> float:
 def row_weights(inst: Instance, a: Assignment) -> np.ndarray:
     """Per-vector weights of an assignment, indexed by row."""
     return inst.weight_batch(a.perms.T)
-
-
-def swap_vectors(u: Sequence[int], v: Sequence[int], dims: Iterable[int]) -> np.ndarray:
-    """Vector equal to v on the given dimensions and to u elsewhere."""
-    out = np.asarray(u, dtype=np.int64).copy()
-    vv = np.asarray(v, dtype=np.int64)
-    for j in dims:
-        out[j] = vv[j]
-    return out
 
 
 def _validate_perm(rho: np.ndarray, n: int) -> np.ndarray:

@@ -5,7 +5,9 @@ Both keep a best-seen incumbent, perturb it (or a population of carriers)
 and re-run the local search until a wall-clock or iteration budget runs
 out. Budgets are sampled between local-search calls, never inside them, so
 a run can overshoot by at most one call; with an iteration cap the whole
-procedure is deterministic for a fixed rng seed.
+procedure is deterministic for a fixed rng seed. A time-budgeted run also
+ends once its best weight reaches the proven bound n * floor: a replacement
+must be strictly lighter, so the rest of the budget could not change it.
 """
 
 from __future__ import annotations
@@ -68,15 +70,21 @@ def perturb(a: Assignment, rng: SplitMix64) -> Assignment:
 
 
 class _Budget:
-    def __init__(self, cfg: MetaConfig):
+    def __init__(self, cfg: MetaConfig, inst: Instance):
         self.cfg = cfg
         self.t0 = time.perf_counter()
         self.calls = 0
+        # iteration-capped runs always make exactly their N calls
+        timed = cfg.time_budget is not None
+        self.bound = inst.n * inst.min_weight_floor() if timed else -math.inf
 
     def exhausted(self) -> bool:
         if self.cfg.iteration_cap is not None:
             return self.calls >= self.cfg.iteration_cap
         return time.perf_counter() - self.t0 >= self.cfg.time_budget
+
+    def at_bound(self, best_w: float) -> bool:
+        return best_w - EPS <= self.bound
 
     def run(self, ls, inst, a):
         self.calls += 1
@@ -88,7 +96,7 @@ def chain(inst: Instance, a0: Assignment, ls, cfg: MetaConfig) -> MetaResult:
     if cfg.kind != "chain":
         raise ValueError("config kind must be 'chain'")
     rng = SplitMix64(cfg.rng_seed)
-    budget = _Budget(cfg)
+    budget = _Budget(cfg, inst)
     best = a0.copy()
     best_w = assignment_weight(inst, a0)
     a = a0
@@ -99,6 +107,8 @@ def chain(inst: Instance, a0: Assignment, ls, cfg: MetaConfig) -> MetaResult:
         a = r.result
         if r.final_weight < best_w - EPS:
             best, best_w = a.copy(), r.final_weight
+        if budget.at_bound(best_w):
+            break
         a = perturb(a, rng)
     return MetaResult(best, best_w, budget.calls, iterations, time.perf_counter() - budget.t0)
 
@@ -114,7 +124,7 @@ def multichain(inst: Instance, a0: Assignment, ls, cfg: MetaConfig) -> MetaResul
     if cfg.kind != "multichain":
         raise ValueError("config kind must be 'multichain'")
     rng = SplitMix64(cfg.rng_seed)
-    budget = _Budget(cfg)
+    budget = _Budget(cfg, inst)
     c = cfg.c
     best = a0.copy()
     best_w = assignment_weight(inst, a0)
@@ -138,7 +148,7 @@ def multichain(inst: Instance, a0: Assignment, ls, cfg: MetaConfig) -> MetaResul
         generations += 1
         if carriers[0][0] < best_w - EPS:
             best, best_w = carriers[0][2].copy(), carriers[0][0]
-        aborted = budget.exhausted()
+        aborted = budget.exhausted() or budget.at_bound(best_w)
         if aborted:
             break
         population = []

@@ -71,15 +71,12 @@ class SplitMix64:
         span = np.uint64(hi - lo + 1)
         return (self.next_block(m) % span).astype(np.int64) + lo
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_u64() % (i + 1)
-            items[i], items[j] = items[j], items[i]
-
     def permutation(self, n: int) -> np.ndarray:
+        """Uniform permutation of range(n), by Fisher-Yates."""
         perm = list(range(n))
-        self.shuffle(perm)
+        for i in range(n - 1, 0, -1):
+            j = self.next_u64() % (i + 1)
+            perm[i], perm[j] = perm[j], perm[i]
         return np.asarray(perm, dtype=np.int64)
 
     def sample_distinct(self, n: int, k: int) -> np.ndarray:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mapls import ExplicitTensor, Family, Instance
+from mapls import Assignment, ExplicitTensor, Family, Instance
 
 
 def explicit_instance(s: int, n: int, values) -> Instance:
@@ -33,6 +33,20 @@ def brute_force_ap2(matrix: np.ndarray) -> float:
     m = np.asarray(matrix, dtype=float)
     n = m.shape[0]
     return min(sum(m[i, p[i]] for i in range(n)) for p in permutations(range(n)))
+
+
+def from_perm_rows(rows) -> Assignment:
+    """Assignment from its s permutation rows, row 0 first."""
+    return Assignment(np.asarray(list(rows), dtype=np.int64))
+
+
+def swap_vectors(u, v, dims) -> np.ndarray:
+    """Vector equal to v on the given dimensions and to u elsewhere."""
+    out = np.asarray(u, dtype=np.int64).copy()
+    vv = np.asarray(v, dtype=np.int64)
+    for j in dims:
+        out[j] = vv[j]
+    return out
 
 
 def all_vectors(s: int, n: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from mapls import (
     nbhd_size_kopt,
     optimum_probability_bound,
 )
-from mapls.analysis import kopt_moves
+from mapls.analysis import dv_family_size, kopt_moves
 
 
 def test_dv_sizes_examples():
@@ -94,3 +94,19 @@ def test_bound_validation():
         optimum_probability_bound(4, 2, 100)
     with pytest.raises(ValueError):
         optimum_probability_bound(4, 10, 0)
+    with pytest.raises(ValueError, match="s must be"):
+        optimum_probability_bound(2, 10, 100)
+
+
+@pytest.mark.parametrize("s,n", [(2, 4), (0, 5), (3, 0), (4, -1)])
+def test_cardinalities_reject_out_of_range_shapes(s, n):
+    for size in (
+        lambda: nbhd_size_dv("sdv", s, n),
+        lambda: nbhd_size_kopt(3, s, n),
+        lambda: nbhd_size_combined("1dv", 2, s, n),
+    ):
+        with pytest.raises(ValueError):
+            size()
+    if s < 3:
+        with pytest.raises(ValueError, match="s must be"):
+            dv_family_size("2dv", s)

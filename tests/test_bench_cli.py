@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from mapls.bench import (
+    ExperimentResult,
     ExperimentSpec,
     read_registry,
     resolve_best_known,
@@ -83,9 +84,13 @@ def test_resolve_best_known_proven_vs_registry(tmp_path):
 
 
 def test_empty_instance_list(tmp_path):
-    spec = ExperimentSpec([], registry=str(tmp_path / "r.txt"))
-    result = run_experiment(spec)
-    assert result.rows == [] and result.aggregates == []
+    # an empty name or index list is rejected up front; a result without
+    # rows (a run that failed on its first row) still prints its header
+    with pytest.raises(ValueError, match="at least one"):
+        ExperimentSpec([], registry=str(tmp_path / "r.txt"))
+    with pytest.raises(ValueError, match="at least one"):
+        ExperimentSpec(["3r6"], indices=[])
+    result = ExperimentResult([], [])
     assert result.to_csv().strip() == "name,index,seed,construct,ls,meta,best_known,achieved,error_pct,time_ms"
 
 
@@ -241,6 +246,19 @@ def test_cli_exit_codes(tmp_path):
     assert r.returncode == 2  # data error
     r = run_cli("ap2", "--matrix", str(tmp_path / "missing.txt"))
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("nbhd", "--variant", "3opt", "--s", "0", "--n", "5"),
+    ("nbhd", "--variant", "sdv+2opt", "--s", "2", "--n", "4"),
+    ("nbhd", "--variant", "1dv", "--s", "3", "--n", "0"),
+    ("bound", "--s", "2", "--n", "5", "--c", "100"),
+    ("bench", "--names", "3r6", "--indices", "5..1"),
+])
+def test_cli_rejects_out_of_range_input(args, tmp_path):
+    r = run_cli(*args, env_extra={"MAPLS_REGISTRY": str(tmp_path / "r.txt")})
+    assert r.returncode == 2, r.stdout
+    assert r.stdout == ""
 
 
 def test_cli_bench_csv(tmp_path):

@@ -1,10 +1,14 @@
 """Construction heuristics: hand traces, validity, determinism."""
 
+from itertools import product as iter_product
+
 import numpy as np
 import pytest
 
 from mapls import (
     Assignment,
+    Instance,
+    ProductWeights,
     assignment_weight,
     generate,
     greedy,
@@ -14,6 +18,7 @@ from mapls import (
     trivial,
 )
 
+from mapls import construct
 from conftest import all_vectors, brute_force_optimum, explicit_instance, random_explicit
 
 FAMILY_SAMPLE = ["3r8", "3gp8", "3c8", "3g8", "3p8", "3sr8", "4r5", "5p4", "6r3"]
@@ -109,7 +114,7 @@ def test_product_fast_path_matches_generic_scan():
     remaining = [np.arange(7, dtype=np.int64) for _ in range(3)]
     for _ in range(4):
         fast = np.array([r[int(np.argmin(factors[j][r]))] for j, r in enumerate(remaining)])
-        generic, _ = _min_compatible_vector(inst, remaining, -np.inf)
+        generic = _min_compatible_vector(inst, remaining, -np.inf)
         assert tuple(fast) == tuple(generic)
         remaining = [r[r != fast[j]] for j, r in enumerate(remaining)]
 
@@ -117,3 +122,170 @@ def test_product_fast_path_matches_generic_scan():
 def test_greedy_beats_trivial_on_random():
     inst = generate(parse_instance_name("3r40", 1))
     assert assignment_weight(inst, greedy(inst)) < assignment_weight(inst, trivial(inst))
+
+
+# Frozen reference: the scatter-based block scan, greedy and max-regret that
+# the constructions must reproduce bit for bit under every block limit.
+# Bodies are kept verbatim; the names carry a _ref prefix.
+
+
+def _ref_iter_grid_blocks(sets: list[np.ndarray], limit: int = 500_000):
+    """Yield (B, s) coordinate blocks of the cartesian product of `sets`,
+    in lexicographic order (dim 0 most significant)."""
+    s = len(sets)
+    sizes = [len(x) for x in sets]
+    split = s
+    suffix = 1
+    while split > 0 and suffix * sizes[split - 1] <= limit:
+        split -= 1
+        suffix *= sizes[split]
+    tail = sets[split:]
+    if tail:
+        mesh = np.meshgrid(*tail, indexing="ij")
+        tail_coords = np.stack([m.ravel() for m in mesh], axis=1).astype(np.int64)
+    else:
+        tail_coords = np.zeros((1, 0), dtype=np.int64)
+    rows = len(tail_coords)
+    block = np.empty((rows, s), dtype=np.int64)
+    block[:, split:] = tail_coords
+    for prefix in iter_product(*sets[:split]):
+        for j, v in enumerate(prefix):
+            block[:, j] = v
+        yield block
+
+
+def _ref_min_compatible_vector(inst: Instance, sets: list[np.ndarray], floor: float):
+    """Lexicographically-first minimum-weight vector in the compatible grid,
+    stopping early as soon as the instance-wide weight floor is attained."""
+    best_w = np.inf
+    best = None
+    for block in _ref_iter_grid_blocks(sets):
+        w = inst.weight_batch(block)
+        k = int(np.argmin(w))
+        if w[k] < best_w:
+            best_w = float(w[k])
+            best = block[k].copy()
+            if best_w <= floor:
+                break
+    return best, best_w
+
+
+def _ref_greedy(inst: Instance) -> Assignment:
+    """n rounds, each committing the cheapest vector compatible with the
+    partial assignment."""
+    s, n = inst.s, inst.n
+    model = inst.weights
+    remaining = [np.arange(n, dtype=np.int64) for _ in range(s)]
+    chosen = np.empty((n, s), dtype=np.int64)
+    floor = inst.min_weight_floor()
+    for t in range(n):
+        if isinstance(model, ProductWeights):
+            # the compatible minimum factors per dimension; exact shortcut
+            vec = np.empty(s, dtype=np.int64)
+            for j in range(s):
+                vals = model.factors[j][remaining[j]]
+                vec[j] = remaining[j][int(np.argmin(vals))]
+        else:
+            vec, _ = _ref_min_compatible_vector(inst, remaining, floor)
+        chosen[t] = vec
+        for j in range(s):
+            remaining[j] = remaining[j][remaining[j] != vec[j]]
+    return _ref_vectors_to_assignment(chosen)
+
+
+def _ref_vectors_to_assignment(vectors: np.ndarray) -> Assignment:
+    order = np.argsort(vectors[:, 0])
+    return Assignment(vectors[order].T)
+
+
+def _ref_merge_best_two(b1, b2, c1, c2):
+    """Per-element two smallest values of the union of (b1, b2) and (c1, c2)."""
+    m1 = np.minimum(b1, c1)
+    m2 = np.minimum(np.maximum(b1, c1), np.minimum(b2, c2))
+    return m1, m2
+
+
+def _ref_max_regret(inst: Instance) -> Assignment:
+    """n rounds; each scores every (dimension, unused value) slot by the gap
+    between its best and second-best compatible vectors and commits the best
+    vector of the widest-gap slot."""
+    s, n = inst.s, inst.n
+    remaining = [np.arange(n, dtype=np.int64) for _ in range(s)]
+    chosen = np.empty((n, s), dtype=np.int64)
+    for t in range(n):
+        m = len(remaining[0])
+        if m == 1:
+            chosen[t] = [r[0] for r in remaining]
+        else:
+            chosen[t] = _ref_max_regret_round(inst, remaining)
+        for j in range(s):
+            remaining[j] = remaining[j][remaining[j] != chosen[t][j]]
+    return _ref_vectors_to_assignment(chosen)
+
+
+def _ref_max_regret_round(inst: Instance, sets: list[np.ndarray]) -> np.ndarray:
+    s, n = inst.s, inst.n
+    best1 = np.full((s, n), np.inf)
+    best2 = np.full((s, n), np.inf)
+    for block in _ref_iter_grid_blocks(sets):
+        w = inst.weight_batch(block)
+        for j in range(s):
+            cols = block[:, j]
+            b1 = np.full(n, np.inf)
+            np.minimum.at(b1, cols, w)
+            at_min = w == b1[cols]
+            cnt = np.zeros(n, dtype=np.int64)
+            np.add.at(cnt, cols[at_min], 1)
+            b2 = np.where(cnt >= 2, b1, np.inf)
+            above = w > b1[cols]
+            np.minimum.at(b2, cols[above], w[above])
+            best1[j], best2[j] = _ref_merge_best_two(best1[j], best2[j], b1, b2)
+
+    pick_j, pick_v, pick_regret = 0, int(sets[0][0]), -np.inf
+    for j in range(s):
+        for v in sets[j]:
+            regret = best2[j, v] - best1[j, v]
+            if regret > pick_regret:
+                pick_j, pick_v, pick_regret = j, int(v), regret
+
+    slot_sets = list(sets)
+    slot_sets[pick_j] = np.asarray([pick_v], dtype=np.int64)
+    vec, _ = _ref_min_compatible_vector(inst, slot_sets, -np.inf)
+    return vec
+
+
+REFERENCE_CASES = [
+    f"{kind}-{s}-{n}"
+    for s, n in [(3, 1), (3, 2), (3, 6), (4, 5), (5, 4), (6, 3), (3, 9)]
+    for kind in ("uniform", "2valued", "3valued")
+] + [
+    f"{name}#{index}"
+    for name in ["3r8", "3gp8", "3c8", "3g8", "3p8", "3sr8", "4sr7", "7r4", "8c3"]
+    for index in (1, 2, 3)
+]
+
+
+def _reference_instance(case: str) -> Instance:
+    """A generated instance for "name#index"; otherwise an explicit tensor,
+    uniform on [0, 1) or tie-heavy with 2 or 3 distinct values."""
+    if "#" in case:
+        name, index = case.split("#")
+        return generate(parse_instance_name(name, int(index)))
+    kind, s, n = case.split("-")
+    s, n = int(s), int(n)
+    rng = np.random.default_rng(list(case.encode()))
+    if kind == "uniform":
+        return explicit_instance(s, n, rng.random(n**s))
+    return explicit_instance(s, n, rng.integers(0, int(kind[0]), n**s).astype(float))
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_constructions_match_frozen_reference(case, monkeypatch):
+    # the default limit never fixes a prefix dimension at these sizes, so the
+    # block limit is also forced to 1 (every dim a prefix), 7 and n^2 + 1
+    inst = _reference_instance(case)
+    want_greedy, want_regret = _ref_greedy(inst).perms, _ref_max_regret(inst).perms
+    for limit in (construct.BLOCK_ROWS, 1, 7, inst.n**2 + 1):
+        monkeypatch.setattr(construct._iter_grid_blocks, "__defaults__", (limit,))
+        assert np.array_equal(greedy(inst).perms, want_greedy), limit
+        assert np.array_equal(max_regret(inst).perms, want_regret), limit

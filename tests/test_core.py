@@ -22,12 +22,11 @@ from mapls import (
     build_generated_instance,
     generate,
     parse_instance_name,
-    swap_vectors,
     swap_weight_matrix,
 )
 from mapls.rng import mix64, mix64_array
 
-from conftest import explicit_instance
+from conftest import explicit_instance, from_perm_rows, swap_vectors
 
 
 def clique_instance(s, n, mats, cls=CliqueSum):
@@ -268,13 +267,13 @@ def test_swap_vectors_examples():
 
 
 def test_apply_identity_is_noop():
-    a = Assignment.from_perm_rows([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+    a = from_perm_rows([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
     b = apply_dimension_permutation(a, {1}, np.arange(3))
     assert b == a
 
 
 def test_apply_all_dims_is_identity_as_set():
-    a = Assignment.from_perm_rows([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+    a = from_perm_rows([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
     rho = np.array([2, 0, 1])
     b = apply_dimension_permutation(a, {0, 1, 2}, rho)
     assert b == a  # canonical form: same vector set
@@ -297,7 +296,7 @@ def test_apply_rejects_non_permutation():
 def test_apply_matches_swap_multiset(rng):
     # vectors of p_D(A, rho) == { swap(A^i, A^rho(i), D) : i }
     inst = explicit_instance(3, 4, rng.integers(0, 99, 64).astype(float))
-    a = Assignment.from_perm_rows([np.arange(4), rng.permutation(4), rng.permutation(4)])
+    a = from_perm_rows([np.arange(4), rng.permutation(4), rng.permutation(4)])
     rho = rng.permutation(4)
     for dims in [{0}, {1}, {2}, {0, 2}, {1, 2}]:
         b = apply_dimension_permutation(a, dims, rho)
@@ -312,7 +311,7 @@ def test_apply_matches_swap_multiset(rng):
 def test_symmetry_complement_inverse(seed, rho_list):
     # p_D(A, rho) == p_{complement D}(A, rho^-1)
     rng = np.random.default_rng(seed)
-    a = Assignment.from_perm_rows([np.arange(4), rng.permutation(4), rng.permutation(4)])
+    a = from_perm_rows([np.arange(4), rng.permutation(4), rng.permutation(4)])
     rho = np.asarray(rho_list)
     inv = np.empty(4, dtype=np.int64)
     inv[rho] = np.arange(4)
@@ -325,7 +324,7 @@ def test_symmetry_complement_inverse(seed, rho_list):
 def test_weight_invariant_under_relabeling(rho_list):
     rng = np.random.default_rng(7)
     inst = explicit_instance(3, 4, rng.integers(0, 99, 64).astype(float))
-    a = Assignment.from_perm_rows([np.arange(4), rng.permutation(4), rng.permutation(4)])
+    a = from_perm_rows([np.arange(4), rng.permutation(4), rng.permutation(4)])
     b = apply_dimension_permutation(a, {0, 1, 2}, np.asarray(rho_list))
     assert assignment_weight(inst, b) == assignment_weight(inst, a)
 
@@ -348,7 +347,7 @@ def test_lazy_random_range_and_integrality():
 
 def test_swap_weight_matrix_matches_scalar(rng):
     inst = explicit_instance(3, 4, rng.integers(0, 99, 64).astype(float))
-    a = Assignment.from_perm_rows([np.arange(4), rng.permutation(4), rng.permutation(4)])
+    a = from_perm_rows([np.arange(4), rng.permutation(4), rng.permutation(4)])
     for dims in [{0}, {1}, {1, 2}]:
         m = swap_weight_matrix(inst, a, dims)
         for i in range(4):
@@ -357,11 +356,11 @@ def test_swap_weight_matrix_matches_scalar(rng):
 
 
 def test_assignment_validation():
-    good = Assignment.from_perm_rows([[0, 1], [1, 0], [0, 1]])
+    good = from_perm_rows([[0, 1], [1, 0], [0, 1]])
     good.validate()
-    bad_row0 = Assignment.from_perm_rows([[1, 0], [0, 1], [0, 1]])
+    bad_row0 = from_perm_rows([[1, 0], [0, 1], [0, 1]])
     assert not bad_row0.is_valid()
-    bad_perm = Assignment.from_perm_rows([[0, 1], [1, 1], [0, 1]])
+    bad_perm = from_perm_rows([[0, 1], [1, 1], [0, 1]])
     assert not bad_perm.is_valid()
 
 

@@ -6,7 +6,10 @@ import pytest
 
 from mapls import (
     Assignment,
+    Family,
+    Instance,
     MetaConfig,
+    Planted,
     assignment_weight,
     chain,
     generate,
@@ -162,3 +165,32 @@ def test_chain_improves_over_single_ls_on_average():
         res = chain(inst, a0, ls, MetaConfig("chain", iteration_cap=30, rng_seed=idx))
         better += res.best_weight < single
     assert better >= 2
+
+
+def _planted_diagonal():
+    # trivial is already optimal here: weight a*n = 6 = n * floor
+    return Instance(3, 6, Family.PLANTED, 1, Planted(1, 101, Assignment.identity(3, 6)))
+
+
+def test_timed_chain_stops_at_proven_bound():
+    inst = _planted_diagonal()
+    res = chain(inst, trivial(inst), ls_1dv(3), MetaConfig("chain", time_budget=20.0))
+    assert res.ls_calls == 1 and res.iterations == 1
+    assert res.best_weight == 6.0 and res.best == trivial(inst)
+    assert res.elapsed < 2.0
+
+
+def test_timed_multichain_stops_at_proven_bound_after_one_generation():
+    inst = _planted_diagonal()
+    res = multichain(inst, trivial(inst), ls_1dv(3), MetaConfig("multichain", time_budget=20.0))
+    assert res.iterations == 1 and res.ls_calls == 15
+    assert res.best_weight == 6.0
+    assert res.elapsed < 2.0
+
+
+def test_capped_runs_make_every_call_at_the_bound():
+    inst = _planted_diagonal()
+    a0 = trivial(inst)
+    assert chain(inst, a0, ls_1dv(3), MetaConfig("chain", iteration_cap=4)).ls_calls == 4
+    res = multichain(inst, a0, ls_1dv(3), MetaConfig("multichain", iteration_cap=20))
+    assert res.ls_calls == 20
