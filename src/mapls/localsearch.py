@@ -10,7 +10,9 @@ Three families:
   recombinations: a block of row subsets is screened on the assignment as it
   stands when the block starts, then each screened subset is re-verified on
   the live assignment and committed. Later blocks see earlier commits, so
-  the block boundaries are part of the search trajectory;
+  the block boundaries are part of the search trajectory. All recombinations
+  of a k-subset draw their rows from k^s distinct vectors, and those are
+  weighed once per subset;
 * ``combined``: alternate a dimensionwise and a vectorwise search until the
   assignment is a local optimum of both.
 
@@ -171,17 +173,25 @@ def k_opt(
     the instance weight floor, and subsets whose vectors are all unchanged
     since their last examination (`dirty` seeds the first sweep with the
     externally-changed rows; None means examine everything).
+
+    Each screen or re-verify weighs a subset's k^s distinct vectors once
+    (`_recombination_weights`). `candidate_evals` still counts the
+    recombination rows assessed, R*k per subset with R = (k!)^(s-1) - 1, so
+    reports stay comparable; the weights actually computed show in the
+    traced `core.weight_batch.rows`.
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
     if k > inst.n:
         raise ValueError(f"k = {k} exceeds n = {inst.n}")
+    examine = np.arange(inst.n) if dirty is None else np.fromiter(sorted(dirty), dtype=np.int64)
+    if len(examine) and (examine[0] < 0 or examine[-1] >= inst.n):
+        raise ValueError(f"dirty rows must lie in [0, {inst.n})")
     t0 = time.perf_counter()
     a = a.copy()
     w_rows = row_weights(inst, a)
     w0 = float(w_rows.sum())
     floor = inst.min_weight_floor()
-    examine = np.arange(inst.n) if dirty is None else np.fromiter(sorted(dirty), dtype=np.int64)
     # every k-subset of rows, in lexicographic order
     subsets = np.fromiter(chain.from_iterable(combinations(range(inst.n), k)), dtype=np.int64,
                           count=comb(inst.n, k) * k).reshape(-1, k)
@@ -224,11 +234,11 @@ def _sweep(inst, a, w_rows, subsets, examine, floor):
     step = max(1, _BATCH_ROWS // ((len(table) + 1) * k))
     for lo in range(0, len(subsets), step):
         block = subsets[lo : lo + step]
-        screen = _recombination_weights(inst, a, block, table).sum(axis=2)
+        screen = _recombination_weights(inst, a, block).sum(axis=2)
         evals += screen.size * k
         gain = screen.min(axis=1) - w_rows[block].sum(axis=1)
         for rows in block[gain < -EPS]:
-            w = _recombination_weights(inst, a, rows[None, :], table)[0]
+            w = _recombination_weights(inst, a, rows[None, :])[0]
             evals += w.size
             totals = w.sum(axis=1)
             r = int(np.argmin(totals))
@@ -239,15 +249,40 @@ def _sweep(inst, a, w_rows, subsets, examine, floor):
     return changed, evals
 
 
-def _recombination_weights(inst, a, subsets, table) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _cube_tables(s: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only gather tables for a k-subset's (k,)*s cube of candidate
+    vectors, whose entry (i_0, ..., i_{s-1}) takes its dim-j coordinate
+    from row i_j. `coords` (k^s * s,): where each coordinate of the entries,
+    in C order, sits in the subset's row-major (k, s) block of vectors.
+    `index` (R*k,): the entries holding the rows of the recombinations in
+    `_recombinations(s, k)`, row m of recombination r being the entry
+    (m, table[r, 0, m], ..., table[r, s-2, m])."""
+    table = _recombinations(s, k)
+    rows = np.indices((k,) * s).reshape(s, -1).T  # (k^s, s): i_j of each entry
+    coords = (rows * s + np.arange(s)).ravel()
+    index = np.arange(k, dtype=np.int64)
+    for j in range(s - 1):
+        index = index * k + table[:, j]
+    index = index.ravel()
+    coords.flags.writeable = index.flags.writeable = False
+    return coords, index
+
+
+def _recombination_weights(inst, a, subsets) -> np.ndarray:
     """(c, R, k) weights of every row of every recombination of each of the
-    c subsets of rows."""
-    s, (c, k), big_r = inst.s, subsets.shape, len(table)
-    coords = np.empty((c, big_r, k, s), dtype=np.int64)
-    coords[..., 0] = subsets[:, None, :]
-    for j in range(1, s):
-        coords[..., j] = a.perms[j][subsets][:, table[:, j - 1]]
-    return inst.weight_batch(coords.reshape(-1, s)).reshape(c, big_r, k)
+    c subsets of rows.
+
+    All those rows are drawn from k^s distinct vectors per subset, the
+    subset's cube (`_cube_tables`). The cube is weighed once and each
+    recombination's rows gathered from it. The result is C-contiguous, the
+    layout the tests' frozen reference sums over k on, so `_sweep`'s sums
+    match it bit for bit."""
+    s, (c, k) = inst.s, subsets.shape
+    coords, index = _cube_tables(s, k)
+    cube = np.take(a.perms.T[subsets].reshape(c, -1), coords, axis=1)  # (c, k^s * s)
+    w = inst.weight_batch(cube.reshape(-1, s)).reshape(c, -1)
+    return np.take(w, index, axis=1).reshape(c, -1, k)
 
 
 # -- v-opt ------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Local searches: families, fixpoints, oracle certificates, combinations."""
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from mapls import (
     trivial,
     v_opt,
 )
+from mapls import localsearch
 from mapls.core import row_weights
 from mapls.localsearch import DV_VARIANTS, EPS, _swap_masks, make_local_search
 from mapls.rng import SplitMix64
@@ -266,10 +267,18 @@ def test_kopt_dirty_seed_restricts_first_sweep(rng):
     assert r2.candidate_evals == 0
 
 
-def _reference_k_opt(inst, a, k, dirty=None):
+@pytest.mark.parametrize("row", [-1, 5])
+def test_kopt_rejects_dirty_rows_out_of_range(rng, row):
+    inst = random_explicit(3, 5, rng)
+    with pytest.raises(ValueError, match="dirty"):
+        k_opt(inst, Assignment.identity(3, 5), 2, dirty=frozenset({0, row}))
+
+
+def _reference_k_opt(inst, a, k, dirty=None, chunk=None):
     """k_opt as two separate sweeps, frozen: 2-opt screens every pair at once
-    from swap-weight matrices, 3-opt screens triples in blocks. Returns
-    (result, weight, passes, touched_rows)."""
+    from swap-weight matrices, 3-opt screens triples in blocks of `chunk`
+    (default: as many as 1.2M weights hold). Returns (result, weight,
+    passes, touched_rows)."""
     n, s = inst.n, inst.s
     a = a.copy()
     w_rows = row_weights(inst, a)
@@ -279,8 +288,10 @@ def _reference_k_opt(inst, a, k, dirty=None):
     touched = set()
     while True:
         passes += 1
-        changed = (_reference_sweep_2opt if k == 2 else _reference_sweep_3opt)(
-            inst, a, w_rows, examine, floor)
+        if k == 2:
+            changed = _reference_sweep_2opt(inst, a, w_rows, examine, floor)
+        else:
+            changed = _reference_sweep_3opt(inst, a, w_rows, examine, floor, chunk)
         if not changed:
             break
         touched |= changed
@@ -336,7 +347,7 @@ def _reference_triple_totals(inst, a, triples, table):
     return inst.weight_batch(coords.reshape(-1, s)).reshape(len(triples), len(table), 3).sum(axis=2)
 
 
-def _reference_sweep_3opt(inst, a, w_rows, examine, floor):
+def _reference_sweep_3opt(inst, a, w_rows, examine, floor, chunk=None):
     n, s = inst.n, inst.s
     table = np.array(list(product(permutations(range(3)), repeat=s - 1)), dtype=np.int64)
     changed = set()
@@ -350,7 +361,8 @@ def _reference_sweep_3opt(inst, a, w_rows, examine, floor):
     keep = in_examine[triples].any(axis=1)
     keep &= ~(w_rows <= floor + EPS)[triples].all(axis=1)
     triples = triples[keep]
-    chunk = max(1, 1_200_000 // (len(table) * 3))
+    if chunk is None:
+        chunk = max(1, 1_200_000 // (len(table) * 3))
     for start in range(0, len(triples), chunk):
         block = triples[start : start + chunk]
         totals = _reference_triple_totals(inst, a, block, table)
@@ -407,6 +419,55 @@ def test_kopt_matches_reference_explicit(rng):
 def test_kopt_matches_reference_generated(name):
     for index in (1, 2):
         _assert_kopt_matches_reference(generate(parse_instance_name(name, index)), seed=index)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_3opt_small_blocks_match_reference(monkeypatch, rng, chunk):
+    # blocks of `chunk` triples: later screens see earlier blocks' commits
+    insts = [explicit_instance(3, 7, rng.uniform(0.0, 1.0, size=7**3)),
+             random_explicit(4, 6, rng, lo=0, hi=3),
+             generate(parse_instance_name("3c10", 1)),
+             generate(parse_instance_name("4gp6", 2))]
+    for inst in insts:
+        monkeypatch.setattr(localsearch, "_BATCH_ROWS", chunk * 6 ** (inst.s - 1) * 3)
+        for a, dirty in _kopt_starts(inst, 3, seed=chunk):
+            ref, ref_w, ref_passes, ref_touched = _reference_k_opt(inst, a, 3, dirty, chunk)
+            r = k_opt(inst, a, 3, dirty)
+            assert r.result == ref
+            assert r.final_weight == ref_w
+            assert r.passes == ref_passes
+            assert r.touched_rows == ref_touched
+
+
+def _reference_recombination_weights(inst, a, subsets, table):
+    """_recombination_weights as it weighed all R*k rows of each subset's
+    recombinations through a (c, R, k, s) coordinate array, frozen."""
+    s, (c, k), big_r = inst.s, subsets.shape, len(table)
+    coords = np.empty((c, big_r, k, s), dtype=np.int64)
+    coords[..., 0] = subsets[:, None, :]
+    for j in range(1, s):
+        coords[..., j] = a.perms[j][subsets][:, table[:, j - 1]]
+    return inst.weight_batch(coords.reshape(-1, s)).reshape(c, big_r, k)
+
+
+@pytest.mark.parametrize("tag", ["r", "gp", "c", "g", "sr", "p", "explicit"])
+def test_recombination_weights_match_reference(rng, tag):
+    # 3-opt stops at s = 7: at s = 8 one subset has 6^7 - 1 recombinations
+    for k, s_max in ((2, 8), (3, 7)):
+        for s in range(3, s_max + 1):
+            n = 4
+            if tag == "explicit":
+                inst = explicit_instance(s, n, rng.uniform(0.0, 1.0, size=n**s))
+            else:
+                inst = generate(parse_instance_name(f"{s}{tag}{n}", 1))
+            a = Assignment(np.vstack([np.arange(n)] + [rng.permutation(n) for _ in range(s - 1)]))
+            subsets = np.array(list(combinations(range(n), k)), dtype=np.int64)
+            if k == 3 and s > 5:
+                subsets = subsets[:1]
+            got = localsearch._recombination_weights(inst, a, subsets)
+            want = _reference_recombination_weights(inst, a, subsets, localsearch._recombinations(s, k))
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
 
 
 # -- v-opt -------------------------------------------------------------------
