@@ -38,8 +38,16 @@ def _round_half_up(x: np.ndarray) -> np.ndarray:
     return np.floor(x + 0.5)
 
 
+# rows per block of a pairwise-table batch: bounds the (pairs, rows) index
+# and term arrays at 28 x 16384 x 8 bytes (3.7 MB) each at s = 8
+_PAIR_BLOCK = 1 << 14
+
+
 class WeightModel:
     """Weight function over the vector grid. Immutable after construction."""
+
+    # the (s, n) grid the model was built for; None if it weighs any grid
+    shape: tuple[int, int] | None = None
 
     def batch(self, inst: "Instance", coords: np.ndarray) -> np.ndarray:
         """Weights of an (m, s) int array of vectors, as float64 (m,)."""
@@ -114,6 +122,7 @@ class Planted(LazyRandom):
     def __init__(self, a: int, b: int, planted: "Assignment"):
         super().__init__(a, b)
         self.planted = planted
+        self.shape = (planted.s, planted.n)
         self._planted_rank = _ranks(planted.n, planted.s, planted.perms.T)
 
     def batch(self, inst, coords):
@@ -136,6 +145,7 @@ class ExplicitTensor(WeightModel):
         if (vals < 0).any():
             raise ValueError("weights must be non-negative")
         self.values = vals
+        self.shape = (s, n)
         self._min = float(vals.min()) if len(vals) else 0.0
 
     def batch(self, inst, coords):
@@ -147,13 +157,19 @@ class ExplicitTensor(WeightModel):
 
 class CliqueSum(WeightModel):
     """Decomposable weights: sum of pairwise distances over all dimension pairs.
-    One n x n table per pair i < j, gathered and summed in pair order; the
-    other pairwise families gather their own precomputed tables the same way."""
+
+    The n x n table of each pair i < j is stacked once, in pair order, into
+    one flat array; the other pairwise families stack their own precomputed
+    tables the same way. A batch is weighed in blocks of `_PAIR_BLOCK` rows:
+    one flat index per (pair, row) over the transposed block, one `take`
+    from the stack, and one sum over the pair axis, which adds the pairs in
+    pair order as a running sum would, so every weight is the same float.
+    """
 
     def __init__(self, s: int, mats: dict[tuple[int, int], np.ndarray]):
         self.mats = {k: np.asarray(v, dtype=np.float64) for k, v in sorted(mats.items())}
-        if set(self.mats) != set(combinations(range(s), 2)):
-            raise ValueError("need one matrix per dimension pair i < j")
+        if s < 2 or set(self.mats) != set(combinations(range(s), 2)):
+            raise ValueError("need s >= 2 and one matrix per dimension pair i < j")
         shapes = {d.shape for d in self.mats.values()}
         if len(shapes) > 1 or any(len(sh) != 2 or sh[0] != sh[1] for sh in shapes):
             raise ValueError("pair matrices must be square and of equal size")
@@ -161,16 +177,33 @@ class CliqueSum(WeightModel):
             raise ValueError("pair matrix entries must be finite")
         if any((d < 0).any() for d in self.mats.values()):
             raise ValueError("pair matrix entries must be non-negative")
-        self._tables = self.mats
+        n = shapes.pop()[0]
+        self.shape = (s, n)
+        pairs = np.array(list(self.mats), dtype=np.intp)
+        self._first, self._second = pairs.T
+        self._offsets = (np.arange(len(pairs)) * n * n)[:, None]
+        # + 0.0 turns a -0.0 entry into 0.0, the sum a zero-started running
+        # sum gives, so the in-order sum of a lone row cannot end on -0.0
+        self._stack = np.concatenate([d.ravel() for d in self.mats.values()]) + 0.0
 
     def _pair_sum(self, coords: np.ndarray) -> np.ndarray:
-        acc = np.zeros(len(coords), dtype=np.float64)
-        for (i, j), d in self._tables.items():
-            acc += d[coords[:, i], coords[:, j]]
-        return acc
+        out = np.empty(len(coords), dtype=np.float64)
+        cols, n = coords.T, self.shape[1]
+        for lo in range(0, len(coords), _PAIR_BLOCK):
+            block = cols[:, lo : lo + _PAIR_BLOCK]
+            idx = block[self._first] * n
+            idx += block[self._second]
+            idx += self._offsets
+            terms = self._stack.take(idx)
+            if terms.shape[1] == 1:
+                # numpy sums a lone column pairwise, not in pair order
+                out[lo] = np.cumsum(terms[:, 0])[-1]
+            else:
+                np.add.reduce(terms, axis=0, out=out[lo : lo + _PAIR_BLOCK])
+        return out
 
     def _floor_sum(self):
-        return sum(d.min() for d in self._tables.values())
+        return sum(self._stack.reshape(len(self._offsets), -1).min(axis=1))
 
     def batch(self, inst, coords):
         return self._pair_sum(coords)
@@ -181,11 +214,12 @@ class CliqueSum(WeightModel):
 
 class SquareRootSquares(CliqueSum):
     """Decomposable weights: sqrt of the sum of squared pairwise distances,
-    rounded to the nearest integer. The squares are tabulated once."""
+    rounded to the nearest integer. The stack holds the squares, so `mats`
+    keeps the distances."""
 
     def __init__(self, s: int, mats: dict[tuple[int, int], np.ndarray]):
         super().__init__(s, mats)
-        self._tables = {k: d**2 for k, d in self.mats.items()}
+        self._stack = self._stack**2
 
     def batch(self, inst, coords):
         return _round_half_up(np.sqrt(self._pair_sum(coords)))
@@ -232,6 +266,9 @@ class ProductWeights(WeightModel):
                 raise ValueError("product factors must be finite")
             if (f <= 0).any():
                 raise ValueError("product factors must be positive")
+        if len({f.shape for f in self.factors}) > 1 or any(f.ndim != 1 for f in self.factors):
+            raise ValueError("every dimension needs a 1-D factor array of one length")
+        self.shape = (len(self.factors), len(self.factors[0]) if self.factors else 0)
 
     def batch(self, inst, coords):
         acc = self.factors[0][coords[:, 0]].copy()
@@ -261,6 +298,9 @@ class Instance:
             raise ValueError(f"s must be >= 3, got {self.s}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        shape = self.weights.shape
+        if shape is not None and shape != (self.s, self.n):
+            raise ValueError(f"weight model is for (s, n) = {shape}, not ({self.s}, {self.n})")
 
     def weight(self, e: Sequence[int]) -> float:
         """Weight of a single vector; validates coordinate ranges."""

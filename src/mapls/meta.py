@@ -6,8 +6,9 @@ and re-run the local search until a wall-clock or iteration budget runs
 out. Budgets are sampled between local-search calls, never inside them, so
 a run can overshoot by at most one call; with an iteration cap the whole
 procedure is deterministic for a fixed rng seed. A time-budgeted run also
-ends once its best weight reaches the proven bound n * floor: a replacement
-must be strictly lighter, so the rest of the budget could not change it.
+ends once its best weight reaches the proven bound n * floor, and sets
+`MetaResult.stopped_at_bound`: a replacement must be strictly lighter, so
+the rest of the budget could not change it.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ class MetaResult:
     iterations: int  # chain iterations / completed multichain generations
     elapsed: float
     no_generation_completed: bool = False
+    # a time-budgeted run returned early, its best weight at the bound n*floor
+    stopped_at_bound: bool = False
 
 
 def perturb(a: Assignment, rng: SplitMix64) -> Assignment:
@@ -101,16 +104,19 @@ def chain(inst: Instance, a0: Assignment, ls, cfg: MetaConfig) -> MetaResult:
     best_w = assignment_weight(inst, a0)
     a = a0
     iterations = 0
+    at_bound = False
     while not budget.exhausted():
         r = budget.run(ls, inst, a)
         iterations += 1
         a = r.result
         if r.final_weight < best_w - EPS:
             best, best_w = a.copy(), r.final_weight
-        if budget.at_bound(best_w):
+        at_bound = budget.at_bound(best_w)
+        if at_bound:
             break
         a = perturb(a, rng)
-    return MetaResult(best, best_w, budget.calls, iterations, time.perf_counter() - budget.t0)
+    return MetaResult(best, best_w, budget.calls, iterations, time.perf_counter() - budget.t0,
+                      stopped_at_bound=at_bound)
 
 
 def multichain(inst: Instance, a0: Assignment, ls, cfg: MetaConfig) -> MetaResult:
@@ -148,10 +154,10 @@ def multichain(inst: Instance, a0: Assignment, ls, cfg: MetaConfig) -> MetaResul
         generations += 1
         if carriers[0][0] < best_w - EPS:
             best, best_w = carriers[0][2].copy(), carriers[0][0]
-        aborted = budget.exhausted() or budget.at_bound(best_w)
-        if aborted:
+        at_bound = budget.at_bound(best_w)
+        if at_bound or budget.exhausted():
             break
-        population = []
+        population, aborted = [], False
         for i, (_, _, carrier) in enumerate(carriers):
             for _ in range(c - i):
                 if budget.exhausted():
@@ -164,4 +170,5 @@ def multichain(inst: Instance, a0: Assignment, ls, cfg: MetaConfig) -> MetaResul
                 break
         if aborted:
             break
-    return MetaResult(best, best_w, budget.calls, generations, time.perf_counter() - budget.t0)
+    return MetaResult(best, best_w, budget.calls, generations, time.perf_counter() - budget.t0,
+                      stopped_at_bound=at_bound)

@@ -24,6 +24,7 @@ from mapls import (
     parse_instance_name,
     swap_weight_matrix,
 )
+from mapls import core
 from mapls.rng import mix64, mix64_array
 
 from conftest import explicit_instance, from_perm_rows, swap_vectors
@@ -147,6 +148,106 @@ def test_pairwise_tables_match_reference(name):
             ref_floor = _reference_squareroot_floor(model.mats)
         assert np.array_equal(inst.weight_batch(coords), ref)
         assert inst.min_weight_floor() == ref_floor
+
+
+# Frozen copy of the per-pair running sum the stacked gather replaced: the
+# pairs are added in pair order, starting from zero.
+def _reference_pair_sum(mats, coords):
+    acc = np.zeros(len(coords), dtype=np.float64)
+    for (i, j), d in mats.items():
+        acc += d[coords[:, i], coords[:, j]]
+    return acc
+
+
+@pytest.mark.parametrize("s, n", [(3, 30), (5, 15), (8, 4)])
+def test_pair_sum_keeps_pair_order(s, n):
+    # float geometric distances, unrounded: a change of summation order shows
+    # in the last bit, which the rounded g/sr weights would hide
+    mats = generate(parse_instance_name(f"{s}g{n}", 1)).weights.mats
+    inst = Instance(s, n, Family.CLIQUE, 0, CliqueSum(s, mats))
+    rng = np.random.default_rng(s)
+    block = core._PAIR_BLOCK
+    for size in (0, 1, 2, 3, block - 1, block, block + 1, 2 * block + 1):
+        coords = rng.integers(0, n, size=(size, s))
+        got = inst.weight_batch(coords)
+        assert got.tobytes() == _reference_pair_sum(mats, coords).tobytes(), size
+    coords = rng.integers(0, n, size=(3000, s))
+    singles = np.array([inst.weight(e) for e in coords])
+    assert singles.tobytes() == _reference_pair_sum(mats, coords).tobytes()
+    # a 1-row tail after a full block, for vectors whose lone sums vary
+    head = rng.integers(0, n, size=(block, s))
+    for e in coords[:20]:
+        tail = inst.weight_batch(np.vstack([head, e]))[-1:]
+        assert tail.tobytes() == _reference_pair_sum(mats, e[None, :]).tobytes()
+    assert inst.min_weight_floor() == float(sum(d.min() for d in mats.values()))
+
+
+def test_signed_zero_entries_sum_to_zero():
+    # the running sum starts from +0.0, so all -0.0 terms still add to +0.0
+    inst = clique_instance(3, 2, _pair_mats(3, 2, -0.0))
+    for size in (1, 2):
+        w = inst.weight_batch(np.zeros((size, 3), dtype=np.int64))
+        assert w.tobytes() == np.zeros(size).tobytes()
+
+
+def _geometric_points(s, n):
+    return [np.arange(2.0 * n).reshape(n, 2) for _ in range(s)]
+
+
+def test_instance_rejects_pair_tables_of_another_size():
+    # n = 3 over 4 x 4 tables would read a sub-block of each table
+    with pytest.raises(ValueError):
+        clique_instance(3, 3, _pair_mats(3, 4))
+    with pytest.raises(ValueError):
+        Instance(3, 3, Family.SQUAREROOT, 0, SquareRootSquares(3, _pair_mats(3, 4)))
+
+
+def test_instance_rejects_pair_tables_for_other_dimensions():
+    # s = 4 over an s = 3 model would leave dimension 3 out of every weight
+    with pytest.raises(ValueError):
+        Instance(4, 2, Family.CLIQUE, 0, CliqueSum(3, _pair_mats(3, 2)))
+    with pytest.raises(ValueError):
+        Instance(3, 2, Family.CLIQUE, 0, CliqueSum(4, _pair_mats(4, 2)))
+    with pytest.raises(ValueError):
+        Instance(4, 2, Family.GEOMETRIC, 0, GeometricPoints(_geometric_points(3, 2)))
+
+
+def test_instance_rejects_point_count_other_than_n():
+    with pytest.raises(ValueError):
+        Instance(3, 2, Family.GEOMETRIC, 0, GeometricPoints(_geometric_points(3, 3)))
+    with pytest.raises(ValueError):
+        Instance(3, 4, Family.GEOMETRIC, 0, GeometricPoints(_geometric_points(3, 3)))
+
+
+def test_instance_rejects_factor_count_other_than_s():
+    factors = [np.array([1.0, 2.0])] * 3
+    with pytest.raises(ValueError):
+        Instance(4, 2, Family.PRODUCT, 0, ProductWeights(factors))
+    with pytest.raises(ValueError):
+        Instance(3, 2, Family.PRODUCT, 0, ProductWeights(factors * 2))
+
+
+def test_instance_rejects_factor_lengths_other_than_n():
+    with pytest.raises(ValueError):
+        Instance(3, 2, Family.PRODUCT, 0, ProductWeights([np.ones(3)] * 3))
+    with pytest.raises(ValueError):
+        ProductWeights([np.ones(2), np.ones(3), np.ones(2)])
+
+
+def test_instance_rejects_explicit_tensor_of_another_shape():
+    # n = 2 over a 3 x 3 x 3 tensor would read entry 7 for vector (1, 1, 1)
+    with pytest.raises(ValueError):
+        Instance(3, 2, Family.EXPLICIT, 0, ExplicitTensor(3, 3, np.arange(27.0)))
+    # 64 values fit both 4^3 and 2^6
+    with pytest.raises(ValueError):
+        Instance(6, 2, Family.EXPLICIT, 0, ExplicitTensor(3, 4, np.arange(64.0)))
+
+
+def test_instance_rejects_planted_assignment_of_another_shape():
+    with pytest.raises(ValueError):
+        Instance(3, 5, Family.PLANTED, 1, Planted(1, 101, Assignment.identity(3, 6)))
+    with pytest.raises(ValueError):
+        Instance(4, 6, Family.PLANTED, 1, Planted(1, 101, Assignment.identity(3, 6)))
 
 
 # Frozen copies of the random and planted kernels that ranked a uint64 copy

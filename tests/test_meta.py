@@ -177,6 +177,7 @@ def test_timed_chain_stops_at_proven_bound():
     res = chain(inst, trivial(inst), ls_1dv(3), MetaConfig("chain", time_budget=20.0))
     assert res.ls_calls == 1 and res.iterations == 1
     assert res.best_weight == 6.0 and res.best == trivial(inst)
+    assert res.stopped_at_bound
     assert res.elapsed < 2.0
 
 
@@ -185,12 +186,14 @@ def test_timed_multichain_stops_at_proven_bound_after_one_generation():
     res = multichain(inst, trivial(inst), ls_1dv(3), MetaConfig("multichain", time_budget=20.0))
     assert res.iterations == 1 and res.ls_calls == 15
     assert res.best_weight == 6.0
+    assert res.stopped_at_bound
     assert res.elapsed < 2.0
 
 
 def test_capped_runs_make_every_call_at_the_bound():
     inst = _planted_diagonal()
     a0 = trivial(inst)
-    assert chain(inst, a0, ls_1dv(3), MetaConfig("chain", iteration_cap=4)).ls_calls == 4
+    res = chain(inst, a0, ls_1dv(3), MetaConfig("chain", iteration_cap=4))
+    assert res.ls_calls == 4 and not res.stopped_at_bound
     res = multichain(inst, a0, ls_1dv(3), MetaConfig("multichain", iteration_cap=20))
-    assert res.ls_calls == 20
+    assert res.ls_calls == 20 and not res.stopped_at_bound
