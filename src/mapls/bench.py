@@ -239,6 +239,8 @@ def read_registry(path: str) -> dict[tuple[str, int], float]:
                 if len(parts) != 3:
                     raise ValueError
                 name, index, value = parts[0], int(parts[1]), float(parts[2])
+                if not (math.isfinite(value) and value >= 0):
+                    raise ValueError
             except ValueError:
                 raise ValueError(f"{path}: corrupt registry line {lineno}: {line.strip()!r}")
             table[(name, index)] = value

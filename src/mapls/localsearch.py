@@ -12,7 +12,10 @@ Three families:
   the live assignment and committed. Later blocks see earlier commits, so
   the block boundaries are part of the search trajectory. All recombinations
   of a k-subset draw their rows from k^s distinct vectors, and those are
-  weighed once per subset;
+  weighed once per subset. Handed a known k-opt local optimum (the
+  `make_local_search` callable passes its previous result), the first sweep
+  screens only the subsets holding a row changed since that optimum, and
+  `candidate_evals` counts only the subsets screened or re-verified;
 * ``combined``: alternate a dimensionwise and a vectorwise search until the
   assignment is a local optimum of both.
 
@@ -165,25 +168,40 @@ def k_opt(
     a: Assignment,
     k: int,
     dirty: frozenset | None = None,
+    *,
+    local_optimum: Assignment | None = None,
 ) -> LocalSearchReport:
     """Exhaustive recombination of every k-subset of vectors, k in {2, 3}.
 
     Both k run one sweep (`_sweep`, block screen then live re-verify) until
-    a pass commits nothing. Two skip rules: subsets whose vectors all sit at
-    the instance weight floor, and subsets whose vectors are all unchanged
+    a pass commits nothing. Three skip rules: subsets whose vectors all sit
+    at the instance weight floor, subsets whose vectors are all unchanged
     since their last examination (`dirty` seeds the first sweep with the
-    externally-changed rows; None means examine everything).
+    externally-changed rows; None means examine everything), and, given a
+    `local_optimum` (the result of a call on the same instance with the same
+    k and no `dirty`), first-sweep subsets none of whose rows is fresh. A
+    row is fresh if its vector differs from the optimum's or a commit in an
+    earlier block of the first sweep changed it. A subset without a fresh
+    row holds the vectors it held at the optimum, where it screened as not
+    improving, so skipping it changes nothing. The blocks are cut from the
+    full first-sweep list before the filter, so the screens that do run see
+    the same assignments as without it. `dirty` and `local_optimum` are
+    mutually exclusive.
 
     Each screen or re-verify weighs a subset's k^s distinct vectors once
-    (`_recombination_weights`). `candidate_evals` still counts the
-    recombination rows assessed, R*k per subset with R = (k!)^(s-1) - 1, so
-    reports stay comparable; the weights actually computed show in the
-    traced `core.weight_batch.rows`.
+    (`_recombination_weights`). `candidate_evals` counts the recombination
+    rows assessed, R*k per subset screened or re-verified with
+    R = (k!)^(s-1) - 1; subsets a skip rule drops count nothing. The weights
+    actually computed show in the traced `core.weight_batch.rows`.
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
     if k > inst.n:
         raise ValueError(f"k = {k} exceeds n = {inst.n}")
+    if dirty is not None and local_optimum is not None:
+        raise ValueError("pass dirty rows or a known local optimum, not both")
+    if local_optimum is not None and local_optimum.perms.shape != a.perms.shape:
+        raise ValueError("the local optimum must have the assignment's shape")
     examine = np.arange(inst.n) if dirty is None else np.fromiter(sorted(dirty), dtype=np.int64)
     if len(examine) and (examine[0] < 0 or examine[-1] >= inst.n):
         raise ValueError(f"dirty rows must lie in [0, {inst.n})")
@@ -192,6 +210,7 @@ def k_opt(
     w_rows = row_weights(inst, a)
     w0 = float(w_rows.sum())
     floor = inst.min_weight_floor()
+    fresh = None if local_optimum is None else (a.perms != local_optimum.perms).any(axis=0)
     # every k-subset of rows, in lexicographic order
     subsets = np.fromiter(chain.from_iterable(combinations(range(inst.n), k)), dtype=np.int64,
                           count=comb(inst.n, k) * k).reshape(-1, k)
@@ -199,7 +218,8 @@ def k_opt(
     touched: set[int] = set()
     while True:
         passes += 1
-        changed, n_evals = _sweep(inst, a, w_rows, subsets, examine, floor)
+        changed, n_evals = _sweep(inst, a, w_rows, subsets, examine, floor, fresh)
+        fresh = None
         evals += n_evals
         if not changed:
             break
@@ -208,7 +228,7 @@ def k_opt(
     return _report(a, w0, float(w_rows.sum()), passes, 0, evals, t0, frozenset(touched))
 
 
-def _sweep(inst, a, w_rows, subsets, examine, floor):
+def _sweep(inst, a, w_rows, subsets, examine, floor, fresh):
     """One k-opt pass over the (c, k) subsets of rows, in their order, that
     hold an examined row and a row above the floor; returns the changed rows
     and the number of weights evaluated.
@@ -219,6 +239,12 @@ def _sweep(inst, a, w_rows, subsets, examine, floor):
     commits. The block size, _BATCH_ROWS // ((R + 1) * k) subsets with R + 1
     counting the identity, is part of the trajectory: it decides which
     screens see which commits.
+
+    `fresh`, a boolean per row or None, drops from each block the subsets
+    without a fresh row; commits mark their rows fresh for later blocks.
+    The screen and the re-verify both test `min total - current < -EPS` on
+    sums taken in the same order, so a subset that screens as improving on
+    rows nothing has changed since always commits.
     """
     if len(examine) == 0:
         return set(), 0
@@ -234,18 +260,24 @@ def _sweep(inst, a, w_rows, subsets, examine, floor):
     step = max(1, _BATCH_ROWS // ((len(table) + 1) * k))
     for lo in range(0, len(subsets), step):
         block = subsets[lo : lo + step]
-        screen = _recombination_weights(inst, a, block).sum(axis=2)
-        evals += screen.size * k
-        gain = screen.min(axis=1) - w_rows[block].sum(axis=1)
+        if fresh is not None:
+            block = block[fresh[block].any(axis=1)]
+            if not len(block):
+                continue
+        w = _recombination_weights(inst, a, block)
+        evals += w.size
+        gain = w.sum(axis=1).min(axis=0) - w_rows[block].sum(axis=1)
         for rows in block[gain < -EPS]:
-            w = _recombination_weights(inst, a, rows[None, :])[0]
+            w = _recombination_weights(inst, a, rows[None, :])[:, :, 0]
             evals += w.size
             totals = w.sum(axis=1)
             r = int(np.argmin(totals))
-            if totals[r] < w_rows[rows].sum() - EPS:
+            if totals[r] - w_rows[rows].sum() < -EPS:
                 a.perms[1:, rows] = a.perms[dims, rows[table[r]]]
                 w_rows[rows] = w[r]
                 changed.update(rows.tolist())
+                if fresh is not None:
+                    fresh[rows] = True
     return changed, evals
 
 
@@ -270,19 +302,20 @@ def _cube_tables(s: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _recombination_weights(inst, a, subsets) -> np.ndarray:
-    """(c, R, k) weights of every row of every recombination of each of the
+    """(R, k, c) weights of every row of every recombination of each of the
     c subsets of rows.
 
     All those rows are drawn from k^s distinct vectors per subset, the
     subset's cube (`_cube_tables`). The cube is weighed once and each
-    recombination's rows gathered from it. The result is C-contiguous, the
-    layout the tests' frozen reference sums over k on, so `_sweep`'s sums
-    match it bit for bit."""
+    recombination's rows gathered from it, subset-minor: the sum over k then
+    runs over contiguous (R, c) planes. On numpy 2.4 it adds w0 + w1 (+ w2)
+    in that order, exactly as a sum over the last axis of the C-contiguous
+    (c, R, k) array does (the tests pin this)."""
     s, (c, k) = inst.s, subsets.shape
     coords, index = _cube_tables(s, k)
     cube = np.take(a.perms.T[subsets].reshape(c, -1), coords, axis=1)  # (c, k^s * s)
     w = inst.weight_batch(cube.reshape(-1, s)).reshape(c, -1)
-    return np.take(w, index, axis=1).reshape(c, -1, k)
+    return w.T[index].reshape(-1, k, c)
 
 
 # -- v-opt ------------------------------------------------------------------
@@ -560,6 +593,24 @@ LS_NAMES = (
 )
 
 
+def _chained_k_opt(k: int):
+    """k_opt as a search callable that hands each call the result of its
+    previous call on the same instance as a known local optimum, so a chain
+    step re-screens only the subsets a perturbation can have changed. It
+    keeps a private copy: callers may mutate the results they get."""
+    last: tuple[Instance, Assignment] | None = None
+
+    def run(inst, a):
+        nonlocal last
+        optimum = last[1] if last is not None and last[0] is inst else None
+        # looked up in the module at call time, so a wrapper installed there sees every call
+        report = k_opt(inst, a, k, local_optimum=optimum)
+        last = (inst, report.result.copy())
+        return report
+
+    return run
+
+
 def make_local_search(name: str, s: int, v_variant: str = "improved"):
     """Callable (inst, assignment) -> LocalSearchReport for a CLI-style name."""
     name = name.lower()
@@ -575,8 +626,7 @@ def make_local_search(name: str, s: int, v_variant: str = "improved"):
         family = build_family(name, s)
         return lambda inst, a: dv_search(inst, a, family)
     if name in ("2opt", "3opt"):
-        k = 2 if name == "2opt" else 3
-        return lambda inst, a: k_opt(inst, a, k)
+        return _chained_k_opt(2 if name == "2opt" else 3)
     if name == "vopt":
         return lambda inst, a: v_opt(inst, a, v_variant)
     dv_name, vw = name.split("+")

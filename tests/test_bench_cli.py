@@ -1,6 +1,7 @@
 """Benchmark harness and command-line interface."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -66,6 +67,13 @@ def test_registry_corrupt_line(tmp_path):
     reg.write_text("3c10 1 500\ngarbage line here oops\n")
     with pytest.raises(ValueError, match="line 2"):
         read_registry(str(reg))
+    # weights are finite and non-negative: anything else is a corrupt line
+    for value in ("nan", "inf", "-inf", "-5", "-0.5"):
+        reg.write_text(f"3c10 1 500\n3c10 2 {value}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{reg}: corrupt registry line 2")):
+            read_registry(str(reg))
+    reg.write_text("3c10 1 0\n3c10 2 7.5\n")
+    assert read_registry(str(reg)) == {("3c10", 1): 0.0, ("3c10", 2): 7.5}
 
 
 def test_resolve_best_known_proven_vs_registry(tmp_path):

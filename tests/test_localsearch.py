@@ -25,6 +25,7 @@ from mapls import (
 )
 from mapls import localsearch
 from mapls.core import row_weights
+from mapls.meta import MetaConfig, chain, multichain
 from mapls.localsearch import DV_VARIANTS, EPS, _swap_masks, make_local_search
 from mapls.rng import SplitMix64
 
@@ -274,6 +275,22 @@ def test_kopt_rejects_dirty_rows_out_of_range(rng, row):
         k_opt(inst, Assignment.identity(3, 5), 2, dirty=frozenset({0, row}))
 
 
+def test_kopt_reverify_decides_as_the_screen():
+    # rows weigh 2.0 and 0.0; swapping dimensions 2 and 3 leaves 2.0 - EPS.
+    # (2.0 - EPS) - 2.0 < -EPS holds, 2.0 - EPS < 2.0 - EPS does not: the
+    # re-verify must decide as the screen did, or an unchanged subset could
+    # screen as improving yet never commit
+    x = 2.0 - EPS
+    assert x - 2.0 < -EPS and not x < 2.0 - EPS
+    values = np.full((2, 2, 2), 5.0)
+    values[0, 0, 0], values[1, 1, 1] = 2.0, 0.0
+    values[0, 1, 1], values[1, 0, 0] = x, 0.0
+    inst = explicit_instance(3, 2, values.ravel())
+    r = k_opt(inst, Assignment.identity(3, 2), 2)
+    assert r.result == Assignment(np.array([[0, 1], [1, 0], [1, 0]]))
+    assert r.final_weight == x and r.touched_rows == frozenset({0, 1})
+
+
 def _reference_k_opt(inst, a, k, dirty=None, chunk=None):
     """k_opt as two separate sweeps, frozen: 2-opt screens every pair at once
     from swap-weight matrices, 3-opt screens triples in blocks of `chunk`
@@ -466,8 +483,130 @@ def test_recombination_weights_match_reference(rng, tag):
                 subsets = subsets[:1]
             got = localsearch._recombination_weights(inst, a, subsets)
             want = _reference_recombination_weights(inst, a, subsets, localsearch._recombinations(s, k))
+            want = np.ascontiguousarray(want.transpose(1, 2, 0))  # (R, k, c)
             assert got.shape == want.shape and got.flags.c_contiguous
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_screen_sums_keep_the_reference_order(rng, k):
+    # `_sweep` sums the (R, k, c) weights over k; the frozen reference summed
+    # the C-contiguous (c, R, k) array over its last axis. Both must add
+    # w0 + w1 (+ w2) in that order, and a one-subset re-verify must total
+    # exactly as that subset's column of its screen block.
+    for s in range(3, 7):
+        n = 6 if k == 3 else 8
+        inst = explicit_instance(s, n, rng.uniform(0.0, 1.0, size=n**s))
+        a = Assignment(np.vstack([np.arange(n)] + [rng.permutation(n) for _ in range(s - 1)]))
+        subsets = np.array(list(combinations(range(n), k)), dtype=np.int64)
+        if s > 4:
+            subsets = subsets[:: 3 * (s - 3)]
+        w = localsearch._recombination_weights(inst, a, subsets)
+        screen = w.sum(axis=1)  # (R, c), as _sweep sums a block
+        ref = _reference_recombination_weights(inst, a, subsets, localsearch._recombinations(s, k))
+        want = ref.sum(axis=2)  # (c, R)
+        assert np.ascontiguousarray(screen.T).tobytes() == want.tobytes()
+        for i in range(0, len(subsets), 7):
+            one = localsearch._recombination_weights(inst, a, subsets[i : i + 1])[:, :, 0]
+            assert one.sum(axis=1).tobytes() == want[i].tobytes()
+
+
+def _chained_instances(rng, k):
+    """Instances for the chained k-opt tests: every generated family plus
+    uniform-[0, 1) explicit weights, sized so a perturbation leaves most
+    subsets clean."""
+    names = (["3r16", "3gp14", "4c8", "3g14", "3sr14", "3p14"] if k == 2
+             else ["3r11", "3gp10", "4c7", "3g10", "3sr10", "3p10"])
+    insts = [(name, generate(parse_instance_name(name, 1))) for name in names]
+    n = 12 if k == 2 else 9
+    insts.append(("explicit", explicit_instance(3, n, rng.uniform(0.0, 1.0, size=n**3))))
+    return insts
+
+
+def _assert_same_report(r, ref):
+    assert r.result == ref.result
+    assert r.final_weight == ref.final_weight
+    assert r.passes == ref.passes
+    assert r.touched_rows == ref.touched_rows
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+@pytest.mark.parametrize("k", [2, 3])
+def test_chained_kopt_matches_plain_kopt(monkeypatch, rng, k, chunk):
+    # every call of a chain and a multichain through the remembering callable
+    # equals plain k_opt on the same start. Blocks of `chunk` subsets make
+    # later blocks see earlier commits; with the default block size these
+    # first sweeps are one block, so a call screens strictly fewer subsets
+    # exactly when its start leaves a subset above the floor clean.
+    fewer = 0
+    for tag, inst in _chained_instances(rng, k):
+        if chunk is not None:
+            big_r = (6 if k == 3 else 2) ** (inst.s - 1)  # recombinations plus the identity
+            monkeypatch.setattr(localsearch, "_BATCH_ROWS", chunk * big_r * k)
+        floor = inst.min_weight_floor()
+        for run, cfg in ((chain, MetaConfig("chain", iteration_cap=5, rng_seed=3)),
+                         (multichain, MetaConfig("multichain", c=2, iteration_cap=6, rng_seed=4))):
+            search = make_local_search(f"{k}opt", inst.s)
+            calls = []
+
+            def checked(inst_, a):
+                nonlocal fewer
+                r = search(inst_, a)
+                ref = k_opt(inst_, a, k)
+                _assert_same_report(r, ref)
+                if not calls:
+                    assert r.candidate_evals == ref.candidate_evals, tag
+                else:
+                    clean = (a.perms == calls[-1].result.perms).all(axis=0)
+                    above = row_weights(inst_, a) > floor + EPS
+                    if chunk is None and clean.sum() >= k and (clean & above).any():
+                        assert r.candidate_evals < ref.candidate_evals, tag
+                    else:
+                        assert r.candidate_evals <= ref.candidate_evals, tag
+                fewer += r.candidate_evals < ref.candidate_evals
+                calls.append(r)
+                return r
+
+            run(inst, trivial(inst), checked, cfg)
+            assert len(calls) == cfg.iteration_cap
+    assert fewer >= 20
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_chained_kopt_keeps_its_own_copy(k):
+    inst = generate(parse_instance_name("3c9", 1))
+    search = make_local_search(f"{k}opt", inst.s)
+    r = search(inst, trivial(inst))
+    assert r.result != trivial(inst)
+    # a caller rewrites the result in place: the callable must not see it
+    r.result.perms[:] = trivial(inst).perms
+    _assert_same_report(search(inst, r.result), k_opt(inst, r.result, k))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_chained_kopt_remembers_per_instance(rng, k):
+    # two instances of one shape through one callable: a result for one is
+    # not a local optimum of the other
+    insts = [generate(parse_instance_name("3c9", i)) for i in (1, 2)]
+    search = make_local_search(f"{k}opt", 3)
+    a = trivial(insts[0])
+    for step in range(6):
+        inst = insts[step % 2]
+        r = search(inst, a)
+        _assert_same_report(r, k_opt(inst, a, k))
+        a = r.result
+    # an unrelated start on the same instance
+    b = Assignment(np.vstack([np.arange(9)] + [rng.permutation(9) for _ in range(2)]))
+    _assert_same_report(search(inst, b), k_opt(inst, b, k))
+
+
+def test_kopt_rejects_dirty_with_local_optimum(rng):
+    inst = random_explicit(3, 5, rng)
+    a = Assignment.identity(3, 5)
+    with pytest.raises(ValueError, match="not both"):
+        k_opt(inst, a, 2, dirty=frozenset(), local_optimum=a)
+    with pytest.raises(ValueError, match="shape"):
+        k_opt(inst, a, 2, local_optimum=Assignment.identity(3, 4))
 
 
 # -- v-opt -------------------------------------------------------------------
