@@ -159,8 +159,11 @@ def dv_search(inst: Instance, a: Assignment, family: DimensionSubsetFamily) -> L
 def _recombinations(s: int, k: int) -> np.ndarray:
     """(R, s-1, k) non-identity recombinations of k rows, R = (k!)^(s-1) - 1,
     in lexicographic (rho_2, ..., rho_s) order: under recombination r the
-    dim-j coordinates of the rows become old_coords[table[r, j-1]]."""
-    return np.array(list(iter_product(permutations(range(k)), repeat=s - 1))[1:], dtype=np.int64)
+    dim-j coordinates of the rows become old_coords[table[r, j-1]].
+    Read-only: every caller shares the cached array."""
+    table = np.array(list(iter_product(permutations(range(k)), repeat=s - 1))[1:], dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def k_opt(
@@ -324,7 +327,8 @@ def _recombination_weights(inst, a, subsets) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _swap_masks(s: int, max_size: int) -> np.ndarray:
     """(U, s) boolean masks of dimension subsets with |D| <= max_size,
-    ordered by size then lexicographically; row 0 is the empty set."""
+    ordered by size then lexicographically; row 0 is the empty set.
+    Read-only: every caller shares the cached array."""
     subsets = [()]
     for size in range(1, max_size + 1):
         subsets.extend(combinations(range(s), size))
@@ -332,6 +336,7 @@ def _swap_masks(s: int, max_size: int) -> np.ndarray:
     for idx, dims in enumerate(subsets):
         for d in dims:
             masks[idx, d] = True
+    masks.flags.writeable = False
     return masks
 
 
@@ -350,53 +355,69 @@ def _pair_minima(inst: Instance, vecs: np.ndarray, ci: np.ndarray, mi: np.ndarra
     return out
 
 
-def _refresh_pair_minima(inst, a, pair_min, old_perms, masks) -> int:
-    """Recompute, in one batch, the table rows and columns of the rows of a
-    that differ from old_perms; returns the number of weights evaluated."""
+def _refresh_pair_minima(inst, a, pair_min, changed, live, masks) -> int:
+    """Recompute, in one batch, the table entries of the live rows that the
+    `changed` rows of a can have moved: the whole table row of a changed
+    live row, and the changed columns of every other live row. A row is
+    live when its weight exceeds the floor by more than EPS; the table rows
+    of the others are never read, so they are left stale. Returns the
+    number of weights evaluated."""
     n = inst.n
-    same = (a.perms == old_perms).all(axis=0)
-    changed, others = np.flatnonzero(~same), np.flatnonzero(same)
-    k = len(changed)
-    # rows: changed x all; columns: unchanged x changed
-    ci = np.concatenate([np.repeat(changed, n), np.repeat(others, k)])
-    mi = np.concatenate([np.tile(np.arange(n), k), np.tile(changed, len(others))])
+    fresh, kept = np.flatnonzero(changed & live), np.flatnonzero(~changed & live)
+    cols = np.flatnonzero(changed)
+    ci = np.concatenate([np.repeat(fresh, n), np.repeat(kept, len(cols))])
+    mi = np.concatenate([np.tile(np.arange(n), len(fresh)), np.tile(cols, len(kept))])
     pair_min[ci, mi] = _pair_minima(inst, a.perms.T, ci, mi, masks)
-    pair_min[changed, changed] = np.inf
+    pair_min[fresh, fresh] = np.inf
     return len(ci) * len(masks)
 
 
 def v_opt(inst: Instance, a: Assignment, variant: str = "improved") -> LocalSearchReport:
     """Variable-depth interchange: from each starting vector, grow a chain of
     minimum-weight swaps while the accumulated gain stays positive, keeping
-    the best assignment seen; repeat until a full run improves nothing.
+    the best assignment seen; cycle through the starts until n consecutive
+    ones leave the assignment unchanged.
 
-    Two exact skip rules leave the result, final weight and pass count
-    identical to the unskipped search:
+    The cyclic stop is exact: a clean start leaves the state as it found
+    it, so once the last change is followed by n clean starts, the rest of
+    the reference's final pass would rerun starts that already failed on
+    the same assignment. `passes` counts the wraps to start 0, as many as
+    the passes of the reference search, which repeats full passes until
+    one improves nothing. Two exact skip rules also leave the result, final
+    weight and pass count identical to the unskipped search:
 
     * dead starts: pair_min[c, m] is the least weight row c's vector can
       take by swapping in row m's coordinates on one of the swap masks. A
       start whose weight exceeds its row minimum by no more than EPS fails
-      the first-step gain test, so it is skipped. After a start that
-      changed the assignment, the table rows and columns of the changed
-      rows are recomputed.
+      the first-step gain test, so it is skipped. Pair minima are at least
+      the instance weight floor, so a start within EPS of the floor is
+      dead whatever its table row says: only the live rows, above it, have
+      their table rows weighed. After a start that changed the assignment,
+      the rows of the changed live rows and the changed columns of the
+      other live rows are recomputed.
     * chain cut: rows the chain has left never change again, and the
-      current and available rows weigh at least the instance weight floor.
-      Once that lower bound on every later total reaches the chain's best
-      total (compared without EPS, so rounding cannot hide an improving
-      state), the chain stops.
+      current and available rows weigh at least the floor. Once that lower
+      bound on every later total reaches the chain's best total (compared
+      without EPS, so rounding cannot hide an improving state), the chain
+      stops.
 
-    Each chain step is one weight batch: the current vector against every
-    swap mask of every available row. Mask 0 swaps nothing, so the batch
-    also weighs the current vector, which is v-bar of the step before; that
-    step's total update and best check therefore run after the batch and
-    before the chain cut. Only a chain that runs out of available rows
-    weighs its last v-bar on its own.
+    The available rows of a chain are kept compact, in ascending order,
+    with their weights and their coordinates on each swap mask; a row that
+    leaves shifts the later ones down, so the first minimum is still found
+    in row-major order and the chain cut sums the same weights in the same
+    order as a fresh gather would. Each chain step is one weight batch: the
+    current vector against every swap mask of every available row. Mask 0
+    swaps nothing, so the batch also weighs the current vector, which is
+    v-bar of the step before; that step's total update and best check
+    therefore run after the batch and before the chain cut. Only a chain
+    that runs out of available rows weighs its last v-bar on its own.
 
-    candidate_evals counts every weight evaluated: the table's, each chain
-    step's batch (also the batch of a step the chain cut then ends), and
-    the one-vector batch of a chain that runs out of rows. The chain
-    compares an incrementally updated total; final_weight is the sum of the
-    re-evaluated row weights, so it carries no accumulated rounding.
+    candidate_evals counts every weight evaluated: the table entries of
+    live rows, each chain step's batch (also the batch of a step the chain
+    cut then ends), and the one-vector batch of a chain that runs out of
+    rows. The chain compares an incrementally updated total; final_weight
+    is the sum of the re-evaluated row weights, so it carries no
+    accumulated rounding.
     """
     if variant not in V_VARIANTS:
         raise ValueError(f"unknown v-opt variant {variant!r}")
@@ -411,77 +432,84 @@ def v_opt(inst: Instance, a: Assignment, variant: str = "improved") -> LocalSear
     w0 = total
     floor = inst.min_weight_floor()
     idx = np.arange(n)
-    pair_min = _pair_minima(inst, a.perms.T, np.repeat(idx, n), np.tile(idx, n), masks)
-    pair_min = pair_min.reshape(n, n)
-    pair_min[idx, idx] = np.inf
-    evals = n * n * len(masks)
-    passes = 0
-
-    run_improved = True
-    while run_improved:
-        passes += 1
-        run_start = total
-        for c0 in range(n):
-            if float(w_rows[c0]) - float(pair_min[c0].min()) <= EPS:
-                continue  # the first step would not gain: nothing changes
-            start_perms = best_perms = a.perms.copy()
-            best_rows = w_rows.copy()
-            best_total = total
-            avail = np.ones(n, dtype=bool)
-            avail[c0] = False
-            c_row = c0
-            gain = 0.0
-            pending = None  # the step taken last, until its w(v-bar) is read
-            while True:
-                rows = np.flatnonzero(avail)
-                c_vec = a.perms[:, c_row]
-                if len(rows):
-                    m_coords = a.perms[:, rows].T  # (t, s)
-                    cand = np.where(masks[None, :, :], m_coords[:, None, :], c_vec[None, None, :])
-                    w = inst.weight_batch(cand.reshape(-1, s)).reshape(len(rows), -1)
-                    evals += w.size
-                if pending is not None:
-                    # c_vec is v-bar; mask 0 swaps nothing, so column 0 holds its weight
-                    if len(rows):
-                        w_vbar = float(w[0, 0])
-                    else:
-                        w_vbar = float(inst.weight_batch(c_vec[None, :])[0])
-                        evals += 1
-                    w_v, p_row, m_row, v_row = pending
-                    total += w_v + w_vbar - float(w_rows[p_row]) - float(w_rows[m_row])
-                    w_rows[v_row] = w_v
-                    w_rows[c_row] = w_vbar
-                    if total < best_total - EPS:
-                        best_perms = a.perms.copy()
-                        best_rows = w_rows.copy()
-                        best_total = total
-                if not len(rows):
-                    break
-                lb = (total - float(w_rows[c_row]) - float(w_rows[rows].sum())
-                      + (len(rows) + 1) * floor)
-                if lb >= best_total:
-                    break
-                # the first minimum in row-major order, as min/argmin per row
-                mi, di = divmod(int(np.argmin(w)), len(masks))
-                w_v = float(w[mi, di])
-                gain += float(w_rows[c_row]) - w_v
-                if gain <= EPS:
-                    break
-                m_row = int(rows[mi])
-                v = cand[mi, di]
-                v_bar = np.where(v == c_vec, a.perms[:, m_row], c_vec)
-                avail[m_row] = False
-                pending = (w_v, c_row, m_row, int(v[0]))
-                a.perms[:, v[0]] = v
-                a.perms[:, v_bar[0]] = v_bar
-                c_row = int(v_bar[0])
-            # keep the best assignment seen along the chain
-            a.perms[:] = best_perms
-            w_rows[:] = best_rows
-            total = best_total
-            if best_perms is not start_perms:
-                evals += _refresh_pair_minima(inst, a, pair_min, start_perms, masks)
-        run_improved = total < run_start - EPS
+    pair_min = np.full((n, n), np.inf)
+    # the first table: every row counts as changed
+    evals = _refresh_pair_minima(inst, a, pair_min, np.ones(n, dtype=bool), w_rows - floor > EPS,
+                                 masks)
+    passes = clean = 0
+    c0 = n - 1
+    while clean < n:
+        c0 = (c0 + 1) % n
+        if c0 == 0:
+            passes += 1
+        w_start = float(w_rows[c0])
+        if w_start - floor <= EPS or w_start - float(pair_min[c0].min()) <= EPS:
+            clean += 1
+            continue  # the first step would not gain: nothing changes
+        start_perms = best_perms = a.perms.copy()
+        best_rows = w_rows.copy()
+        best_total = total
+        # the t available rows: ids, weights and coordinates on each mask
+        rows = idx[idx != c0]
+        w_avail = w_rows[rows]
+        m_part = np.where(masks, a.perms.T[rows, None, :], 0)
+        t = n - 1
+        c_row = c0
+        gain = 0.0
+        pending = None  # the step taken last, until its w(v-bar) is read
+        while True:
+            c_vec = a.perms[:, c_row]
+            if t:
+                cand = m_part[:t] + np.where(masks, 0, c_vec)
+                w = inst.weight_batch(cand.reshape(-1, s)).reshape(t, -1)
+                evals += w.size
+            if pending is not None:
+                # c_vec is v-bar; mask 0 swaps nothing, so column 0 holds its weight
+                if t:
+                    w_vbar = float(w[0, 0])
+                else:
+                    w_vbar = float(inst.weight_batch(c_vec[None, :])[0])
+                    evals += 1
+                w_v, p_row, m_row, v_row = pending
+                total += w_v + w_vbar - float(w_rows[p_row]) - float(w_rows[m_row])
+                w_rows[v_row] = w_v
+                w_rows[c_row] = w_vbar
+                if total < best_total - EPS:
+                    best_perms = a.perms.copy()
+                    best_rows = w_rows.copy()
+                    best_total = total
+            if not t:
+                break
+            lb = total - float(w_rows[c_row]) - float(w_avail[:t].sum()) + (t + 1) * floor
+            if lb >= best_total:
+                break
+            # the first minimum in row-major order, as min/argmin per row
+            mi, di = divmod(int(np.argmin(w)), len(masks))
+            w_v = float(w[mi, di])
+            gain += float(w_rows[c_row]) - w_v
+            if gain <= EPS:
+                break
+            m_row = int(rows[mi])
+            v = cand[mi, di]
+            v_bar = np.where(v == c_vec, a.perms[:, m_row], c_vec)
+            t -= 1
+            rows[mi:t] = rows[mi + 1 : t + 1]
+            w_avail[mi:t] = w_avail[mi + 1 : t + 1]
+            m_part[mi:t] = m_part[mi + 1 : t + 1]
+            pending = (w_v, c_row, m_row, int(v[0]))
+            a.perms[:, v[0]] = v
+            a.perms[:, v_bar[0]] = v_bar
+            c_row = int(v_bar[0])
+        # keep the best assignment seen along the chain
+        a.perms[:] = best_perms
+        w_rows[:] = best_rows
+        total = best_total
+        if best_perms is start_perms:
+            clean += 1
+        else:
+            clean = 0
+            changed = (a.perms != start_perms).any(axis=0)
+            evals += _refresh_pair_minima(inst, a, pair_min, changed, w_rows - floor > EPS, masks)
     return _report(a, w0, float(w_rows.sum()), passes, 0, evals, t0)
 
 

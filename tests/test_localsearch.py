@@ -620,6 +620,14 @@ def test_vopt_swap_set_sizes():
     assert _swap_masks(5, 2).shape == (1 + 5 + 10, 5)
 
 
+def test_cached_tables_are_read_only():
+    # every caller shares the lru_cached arrays, so a write must fail loudly
+    with pytest.raises(ValueError, match="read-only"):
+        _swap_masks(4, 2)[0, 0] = True
+    with pytest.raises(ValueError, match="read-only"):
+        localsearch._recombinations(3, 2)[0, 0, 0] = 1
+
+
 def test_vopt_natural_equals_improved_for_s3(rng):
     for _ in range(5):
         inst = random_explicit(3, 4, rng)
@@ -736,7 +744,7 @@ def test_vopt_matches_reference_explicit(rng):
 
 
 @pytest.mark.parametrize("name", ["3r12", "4r7", "3gp12", "4gp6", "3c10", "4c6",
-                                  "3g10", "4g6", "3sr10", "5sr5"])
+                                  "3g10", "4g6", "3sr10", "5sr5", "5r8", "3r30"])
 def test_vopt_matches_reference_generated(name):
     for index in (1, 2):
         _assert_vopt_matches_reference(generate(parse_instance_name(name, index)), seed=index)
@@ -754,15 +762,38 @@ def _hidden_assignment_instances(rng):
 
 def test_vopt_rerun_on_own_result_runs_no_chain(rng):
     # v-opt finds the hidden assignment, and from there every start fails
-    # the dead-start test, so a second run evaluates the pair-minimum table
-    # and nothing else
+    # the dead-start test, so a second run evaluates the table rows of the
+    # rows above the floor and nothing else
     for inst, hidden in _hidden_assignment_instances(rng):
         s, n = inst.s, inst.n
         r1 = v_opt(inst, trivial(inst))
         assert r1.result == hidden
         r2 = v_opt(inst, r1.result)
         assert r2.result == hidden and r2.passes == 1
-        assert r2.candidate_evals == n * n * len(_swap_masks(s, s // 2))
+        live = int((row_weights(inst, hidden) - inst.min_weight_floor() > EPS).sum())
+        assert 0 < live < n
+        assert r2.candidate_evals == live * n * len(_swap_masks(s, s // 2))
+
+
+def test_vopt_weighs_nothing_at_the_floor(monkeypatch):
+    # every row of a planted optimum sits at the floor: each start is dead
+    # without a table row, so only the row weights are weighed
+    inst = generate(parse_instance_name("4gp6", 1))
+    planted = inst.weights.planted
+    sizes = []
+    weight_batch = Instance.weight_batch
+
+    def counting(self, coords):
+        sizes.append(len(coords))
+        return weight_batch(self, coords)
+
+    monkeypatch.setattr(Instance, "weight_batch", counting)
+    for variant in ("natural", "improved"):
+        sizes.clear()
+        r = v_opt(inst, planted, variant)
+        assert r.result == planted and r.passes == 1
+        assert r.candidate_evals == 0
+        assert sizes == [inst.n]
 
 
 def test_vopt_final_weight_is_exact(rng):
