@@ -9,13 +9,16 @@ Three families:
   v-opt. 2-opt and 3-opt are one sweep over one table of k-row
   recombinations: a block of row subsets is screened on the assignment as it
   stands when the block starts, then each screened subset is re-verified on
-  the live assignment and committed. Later blocks see earlier commits, so
-  the block boundaries are part of the search trajectory. All recombinations
-  of a k-subset draw their rows from k^s distinct vectors, and those are
-  weighed once per subset. Handed a known k-opt local optimum (the
-  `make_local_search` callable passes its previous result), the first sweep
-  screens only the subsets holding a row changed since that optimum, and
-  `candidate_evals` counts only the subsets screened or re-verified;
+  the live assignment and committed. A subset whose rows no commit has
+  touched since it was weighed is decided from the weights in hand; stale
+  ones are re-weighed together, a segment of them per weight call. Later
+  blocks see earlier commits, so the block boundaries are part of the
+  search trajectory. All recombinations of a k-subset draw their rows from
+  k^s distinct vectors, and those are weighed once per subset. Handed a
+  known k-opt local optimum (the `make_local_search` callable passes its
+  previous result), the first sweep screens only the subsets holding a row
+  changed since that optimum, and `candidate_evals` counts only the subsets
+  screened or re-verified;
 * ``combined``: alternate a dimensionwise and a vectorwise search until the
   assignment is a local optimum of both.
 
@@ -166,6 +169,16 @@ def _recombinations(s: int, k: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=8)
+def _row_subsets(n: int, k: int) -> np.ndarray:
+    """(C(n, k), k) every k-subset of rows, in lexicographic order.
+    Read-only: every caller shares the cached array."""
+    subsets = np.fromiter(chain.from_iterable(combinations(range(n), k)), dtype=np.int64,
+                          count=comb(n, k) * k).reshape(-1, k)
+    subsets.flags.writeable = False
+    return subsets
+
+
 def k_opt(
     inst: Instance,
     a: Assignment,
@@ -191,11 +204,14 @@ def k_opt(
     the same assignments as without it. `dirty` and `local_optimum` are
     mutually exclusive.
 
-    Each screen or re-verify weighs a subset's k^s distinct vectors once
-    (`_recombination_weights`). `candidate_evals` counts the recombination
+    Each screen or re-weigh weighs a subset's k^s distinct vectors once
+    (`_recombination_weights`); a re-verify reuses the weights in hand while
+    the subset's rows are unchanged and re-weighs stale subsets a segment
+    at a time (see `_sweep`). `candidate_evals` counts the recombination
     rows assessed, R*k per subset screened or re-verified with
-    R = (k!)^(s-1) - 1; subsets a skip rule drops count nothing. The weights
-    actually computed show in the traced `core.weight_batch.rows`.
+    R = (k!)^(s-1) - 1, however many weight calls that took; subsets a skip
+    rule drops count nothing. The weights actually computed show in the
+    traced `core.weight_batch.rows`.
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
@@ -214,9 +230,7 @@ def k_opt(
     w0 = float(w_rows.sum())
     floor = inst.min_weight_floor()
     fresh = None if local_optimum is None else (a.perms != local_optimum.perms).any(axis=0)
-    # every k-subset of rows, in lexicographic order
-    subsets = np.fromiter(chain.from_iterable(combinations(range(inst.n), k)), dtype=np.int64,
-                          count=comb(inst.n, k) * k).reshape(-1, k)
+    subsets = _row_subsets(inst.n, k)
     passes = evals = 0
     touched: set[int] = set()
     while True:
@@ -243,6 +257,19 @@ def _sweep(inst, a, w_rows, subsets, examine, floor, fresh):
     counting the identity, is part of the trajectory: it decides which
     screens see which commits.
 
+    The re-verify decides the block's candidates (the subsets that screened
+    as improving, in block order) from weights already in hand. Each row
+    carries the commit count when it last changed, each candidate the
+    commit count when its column was weighed. A candidate none of whose rows
+    changed since is decided from its column: a vector's weight does not
+    depend on the batch it is weighed in, and the sums over k run per
+    column, so the column is what a one-subset re-verify would compute. At
+    a stale candidate, the stale ones among the next `width` candidates are
+    re-weighed in one call on the live assignment; `width` doubles when no
+    commit came since the last re-weigh and halves otherwise. Results are
+    those of re-weighing each candidate on its own, weight call by weight
+    call.
+
     `fresh`, a boolean per row or None, drops from each block the subsets
     without a fresh row; commits mark their rows fresh for later blocks.
     The screen and the re-verify both test `min total - current < -EPS` on
@@ -255,12 +282,21 @@ def _sweep(inst, a, w_rows, subsets, examine, floor, fresh):
     table = _recombinations(s, k)
     in_examine = np.zeros(n, dtype=bool)
     in_examine[examine] = True
-    keep = in_examine[subsets].any(axis=1) & (w_rows[subsets] > floor + EPS).any(axis=1)
-    subsets = subsets[keep]
+    # keep the subsets holding an examined row and a row above the floor
+    examined = np.zeros(len(subsets), dtype=bool)
+    live = np.zeros(len(subsets), dtype=bool)
+    above = w_rows > floor + EPS
+    for col in subsets.T:
+        examined |= in_examine[col]
+        live |= above[col]
+    subsets = subsets[examined & live]
     changed: set[int] = set()
     evals = 0
     dims = np.arange(1, s)[:, None]
     step = max(1, _BATCH_ROWS // ((len(table) + 1) * k))
+    commits = 0
+    changed_at = np.zeros(n, dtype=np.int64)  # commits so far when each row last changed
+    width = 1
     for lo in range(0, len(subsets), step):
         block = subsets[lo : lo + step]
         if fresh is not None:
@@ -269,15 +305,30 @@ def _sweep(inst, a, w_rows, subsets, examine, floor, fresh):
                 continue
         w = _recombination_weights(inst, a, block)
         evals += w.size
-        gain = w.sum(axis=1).min(axis=0) - w_rows[block].sum(axis=1)
-        for rows in block[gain < -EPS]:
-            w = _recombination_weights(inst, a, rows[None, :])[:, :, 0]
-            evals += w.size
-            totals = w.sum(axis=1)
-            r = int(np.argmin(totals))
-            if totals[r] - w_rows[rows].sum() < -EPS:
+        totals = w.sum(axis=1)
+        cand = np.flatnonzero(totals.min(axis=0) - w_rows[block].sum(axis=1) < -EPS)
+        evals += len(cand) * len(table) * k
+        weighed = np.full(len(cand), commits)  # commits so far when each column was weighed
+        last = commits  # commits so far at the screen or the last re-weigh
+        for i, j in enumerate(cand):
+            rows = block[j]
+            if changed_at[rows].max() > weighed[i]:
+                # re-weigh the stale candidates among the next `width` on the live assignment
+                width = width * 2 if commits == last else max(1, width // 2)
+                last = commits
+                seg = np.arange(i, min(i + width, len(cand)))
+                seg = seg[changed_at[block[cand[seg]]].max(axis=1) > weighed[seg]]
+                cols = cand[seg]
+                ws = _recombination_weights(inst, a, block[cols])
+                w[:, :, cols] = ws
+                totals[:, cols] = ws.sum(axis=1)
+                weighed[seg] = commits
+            r = int(totals[:, j].argmin())
+            if totals[r, j] - w_rows[rows].sum() < -EPS:
                 a.perms[1:, rows] = a.perms[dims, rows[table[r]]]
-                w_rows[rows] = w[r]
+                w_rows[rows] = w[r, :, j]
+                commits += 1
+                changed_at[rows] = commits
                 changed.update(rows.tolist())
                 if fresh is not None:
                     fresh[rows] = True

@@ -15,6 +15,7 @@ from mapls import (
     dv_search,
     enumerate_neighborhood,
     generate,
+    greedy,
     k_opt,
     parse_instance_name,
     perturb,
@@ -456,6 +457,68 @@ def test_3opt_small_blocks_match_reference(monkeypatch, rng, chunk):
             assert r.touched_rows == ref_touched
 
 
+@pytest.mark.parametrize("chunk", [None, 1, 2, 5, 40])
+def test_kopt_many_commits_per_block_match_reference(monkeypatch, rng, chunk):
+    # from the trivial assignment most screened subsets share a row with an
+    # earlier commit of their block: long runs of stale candidates, re-weighed
+    # in segments that grow and shrink
+    cases = [(generate(parse_instance_name("3c20", 1)), 3),
+             (explicit_instance(3, 9, rng.uniform(0.0, 1.0, size=9**3)), 3)]
+    if chunk is None:
+        cases += [(generate(parse_instance_name("3r30", 1)), 2),
+                  (explicit_instance(3, 16, rng.uniform(0.0, 1.0, size=16**3)), 2)]
+    for inst, k in cases:
+        if chunk is not None:
+            monkeypatch.setattr(localsearch, "_BATCH_ROWS", chunk * 6 ** (inst.s - 1) * 3)
+        a = trivial(inst)
+        ref, ref_w, ref_passes, ref_touched = _reference_k_opt(inst, a, k, chunk=chunk)
+        r = k_opt(inst, a, k)
+        assert r.result == ref
+        assert r.final_weight == ref_w
+        assert r.passes == ref_passes
+        assert r.touched_rows == ref_touched
+
+
+def test_chained_3opt_makes_far_fewer_weight_calls_than_candidates(monkeypatch):
+    # the frozen reference re-verifies each screened candidate in a weight call
+    # of its own; the sweep decides a candidate untouched since its screen from
+    # the screen's column and re-weighs stale ones a segment at a time
+    inst = generate(parse_instance_name("3c30", 1))
+    calls = candidates = 0
+    weight_batch = Instance.weight_batch
+    reference_totals = _reference_triple_totals
+
+    def counting(self, coords):
+        nonlocal calls
+        calls += 1
+        return weight_batch(self, coords)
+
+    def counting_totals(inst_, a, triples, table):
+        nonlocal candidates
+        candidates += len(triples) == 1  # a re-verify; blocks here hold many triples
+        return reference_totals(inst_, a, triples, table)
+
+    monkeypatch.setattr(Instance, "weight_batch", counting)
+    monkeypatch.setitem(globals(), "_reference_triple_totals", counting_totals)
+    search = make_local_search("3opt", inst.s)
+    made = screened = 0
+
+    def checked(inst_, a):
+        nonlocal made, screened
+        before = calls
+        r = search(inst_, a)
+        made += calls - before
+        _assert_same_report(r, k_opt(inst_, a, 3))
+        before = candidates
+        assert _reference_k_opt(inst_, a, 3)[0] == r.result
+        screened += candidates - before
+        return r
+
+    chain(inst, greedy(inst), checked, MetaConfig("chain", iteration_cap=4, rng_seed=3))
+    assert screened > 1000
+    assert made * 5 < screened
+
+
 def _reference_recombination_weights(inst, a, subsets, table):
     """_recombination_weights as it weighed all R*k rows of each subset's
     recombinations through a (c, R, k, s) coordinate array, frozen."""
@@ -626,6 +689,8 @@ def test_cached_tables_are_read_only():
         _swap_masks(4, 2)[0, 0] = True
     with pytest.raises(ValueError, match="read-only"):
         localsearch._recombinations(3, 2)[0, 0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        localsearch._row_subsets(5, 3)[0, 0] = 1
 
 
 def test_vopt_natural_equals_improved_for_s3(rng):
