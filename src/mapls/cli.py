@@ -76,7 +76,8 @@ def _add_instance_args(p, index_default=1):
 
 def _add_meta_args(p):
     p.add_argument("--meta", choices=["chain", "multichain"], default=None)
-    p.add_argument("--time", default=None, help="wall-clock budget, e.g. 10s")
+    p.add_argument("--time", default=None, help="wall-clock budget of the metaheuristic, e.g. 10s;"
+                   " instance generation and construction run before it starts")
     p.add_argument("--iters", type=int, default=None, help="local-search call cap")
     p.add_argument("--meta-seed", type=int, default=0)
     p.add_argument("--multichain-width", type=int, default=5, metavar="C")

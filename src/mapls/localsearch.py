@@ -14,11 +14,12 @@ Three families:
   ones are re-weighed together, a segment of them per weight call. Later
   blocks see earlier commits, so the block boundaries are part of the
   search trajectory. All recombinations of a k-subset draw their rows from
-  k^s distinct vectors, and those are weighed once per subset. Handed a
-  known k-opt local optimum (the `make_local_search` callable passes its
-  previous result), the first sweep screens only the subsets holding a row
-  changed since that optimum, and `candidate_evals` counts only the subsets
-  screened or re-verified;
+  k^s distinct vectors, and those are weighed once per subset. Handed its
+  one hint, a known k-opt local optimum (the chained `2opt`/`3opt` callable
+  passes its previous result, ``combined`` a later k-opt phase the previous
+  phase's), the first sweep screens only the subsets holding a row changed
+  since that optimum, and `candidate_evals` counts only the subsets
+  screened or re-verified. Every skip is exact;
 * ``combined``: alternate a dimensionwise and a vectorwise search until the
   assignment is a local optimum of both.
 
@@ -183,26 +184,25 @@ def k_opt(
     inst: Instance,
     a: Assignment,
     k: int,
-    dirty: frozenset | None = None,
     *,
     local_optimum: Assignment | None = None,
 ) -> LocalSearchReport:
     """Exhaustive recombination of every k-subset of vectors, k in {2, 3}.
 
     Both k run one sweep (`_sweep`, block screen then live re-verify) until
-    a pass commits nothing. Three skip rules: subsets whose vectors all sit
-    at the instance weight floor, subsets whose vectors are all unchanged
-    since their last examination (`dirty` seeds the first sweep with the
-    externally-changed rows; None means examine everything), and, given a
-    `local_optimum` (the result of a call on the same instance with the same
-    k and no `dirty`), first-sweep subsets none of whose rows is fresh. A
-    row is fresh if its vector differs from the optimum's or a commit in an
-    earlier block of the first sweep changed it. A subset without a fresh
-    row holds the vectors it held at the optimum, where it screened as not
-    improving, so skipping it changes nothing. The blocks are cut from the
-    full first-sweep list before the filter, so the screens that do run see
-    the same assignments as without it. `dirty` and `local_optimum` are
-    mutually exclusive.
+    a pass commits nothing; a sweep after the first examines only the
+    subsets holding a row the previous sweep changed. Two skip rules, both
+    exact: subsets whose vectors all sit at the instance weight floor, and,
+    given a `local_optimum` (a k-opt local optimum of the same instance and
+    k, such as the result of an earlier call), first-sweep subsets none of
+    whose rows is fresh. A row is fresh if its vector differs from the
+    optimum's or a commit in an earlier block of the first sweep changed
+    it. A subset without a fresh row holds the vectors it held at the
+    optimum, where it screened as not improving, so skipping it changes
+    nothing. The blocks are cut from the full first-sweep list before the
+    filter, so the screens that do run see the same assignments as without
+    it: the report equals plain k_opt's but for `candidate_evals` and
+    `elapsed`.
 
     Each screen or re-weigh weighs a subset's k^s distinct vectors once
     (`_recombination_weights`); a re-verify reuses the weights in hand while
@@ -217,13 +217,8 @@ def k_opt(
         raise ValueError("k must be 2 or 3")
     if k > inst.n:
         raise ValueError(f"k = {k} exceeds n = {inst.n}")
-    if dirty is not None and local_optimum is not None:
-        raise ValueError("pass dirty rows or a known local optimum, not both")
     if local_optimum is not None and local_optimum.perms.shape != a.perms.shape:
         raise ValueError("the local optimum must have the assignment's shape")
-    examine = np.arange(inst.n) if dirty is None else np.fromiter(sorted(dirty), dtype=np.int64)
-    if len(examine) and (examine[0] < 0 or examine[-1] >= inst.n):
-        raise ValueError(f"dirty rows must lie in [0, {inst.n})")
     t0 = time.perf_counter()
     a = a.copy()
     w_rows = row_weights(inst, a)
@@ -231,24 +226,26 @@ def k_opt(
     floor = inst.min_weight_floor()
     fresh = None if local_optimum is None else (a.perms != local_optimum.perms).any(axis=0)
     subsets = _row_subsets(inst.n, k)
+    examine = np.ones(inst.n, dtype=bool)
+    touched = np.zeros(inst.n, dtype=bool)
     passes = evals = 0
-    touched: set[int] = set()
     while True:
         passes += 1
-        changed, n_evals = _sweep(inst, a, w_rows, subsets, examine, floor, fresh)
+        examine, n_evals = _sweep(inst, a, w_rows, subsets, examine, floor, fresh)
         fresh = None
         evals += n_evals
-        if not changed:
+        if not examine.any():
             break
-        touched |= changed
-        examine = np.fromiter(sorted(changed), dtype=np.int64)
-    return _report(a, w0, float(w_rows.sum()), passes, 0, evals, t0, frozenset(touched))
+        touched |= examine
+    return _report(a, w0, float(w_rows.sum()), passes, 0, evals, t0,
+                   frozenset(np.flatnonzero(touched).tolist()))
 
 
 def _sweep(inst, a, w_rows, subsets, examine, floor, fresh):
     """One k-opt pass over the (c, k) subsets of rows, in their order, that
-    hold an examined row and a row above the floor; returns the changed rows
-    and the number of weights evaluated.
+    hold an examined row and a row above the floor. `examine` is a boolean
+    per row; returns the changed rows as one too, and the number of weights
+    evaluated.
 
     Each block is screened on the assignment as it stands at the block's
     start. Earlier commits may have touched a screened subset's rows, so it
@@ -276,21 +273,16 @@ def _sweep(inst, a, w_rows, subsets, examine, floor, fresh):
     sums taken in the same order, so a subset that screens as improving on
     rows nothing has changed since always commits.
     """
-    if len(examine) == 0:
-        return set(), 0
     n, s, k = inst.n, inst.s, subsets.shape[1]
     table = _recombinations(s, k)
-    in_examine = np.zeros(n, dtype=bool)
-    in_examine[examine] = True
     # keep the subsets holding an examined row and a row above the floor
     examined = np.zeros(len(subsets), dtype=bool)
     live = np.zeros(len(subsets), dtype=bool)
     above = w_rows > floor + EPS
     for col in subsets.T:
-        examined |= in_examine[col]
+        examined |= examine[col]
         live |= above[col]
     subsets = subsets[examined & live]
-    changed: set[int] = set()
     evals = 0
     dims = np.arange(1, s)[:, None]
     step = max(1, _BATCH_ROWS // ((len(table) + 1) * k))
@@ -329,10 +321,9 @@ def _sweep(inst, a, w_rows, subsets, examine, floor, fresh):
                 w_rows[rows] = w[r, :, j]
                 commits += 1
                 changed_at[rows] = commits
-                changed.update(rows.tolist())
                 if fresh is not None:
                     fresh[rows] = True
-    return changed, evals
+    return changed_at > 0, evals
 
 
 @lru_cache(maxsize=16)
@@ -577,7 +568,8 @@ def combined(
     """Alternate dimensionwise and vectorwise phases until neither improves.
 
     The pair (sdv, 2opt) is rejected: the 2-opt neighborhood is contained in
-    the sdv one, so the combination adds nothing.
+    the sdv one, so the combination adds nothing. Each k-opt phase after the
+    first gets the previous phase's result as its `local_optimum`.
     """
     if vectorwise not in VECTORWISE:
         raise ValueError(f"unknown vectorwise heuristic {vectorwise!r}")
@@ -588,26 +580,25 @@ def combined(
     a, w = r.result, r.final_weight
     w0 = r.initial_weight
     passes, ap2_calls, evals = r.passes, r.ap2_calls, r.candidate_evals
-    dv_changed: frozenset | None = None  # None: vectorwise never ran yet
+    optimum = None  # the last k-opt phase's result
     while True:
         x = w
         if vectorwise == "vopt":
             rv = v_opt(inst, a, v_variant)
         else:
-            rv = k_opt(inst, a, 2 if vectorwise == "2opt" else 3, dirty=dv_changed)
+            rv = k_opt(inst, a, 2 if vectorwise == "2opt" else 3, local_optimum=optimum)
+            optimum = rv.result
         a, w = rv.result, rv.final_weight
         passes += rv.passes
         evals += rv.candidate_evals
         if w >= x - EPS:
             break
         x = w
-        before = a.perms.copy()
         rd = dv_search(inst, a, family)
         a, w = rd.result, rd.final_weight
         passes += rd.passes
         ap2_calls += rd.ap2_calls
         evals += rd.candidate_evals
-        dv_changed = frozenset(np.flatnonzero((before != a.perms).any(axis=0)))
         if w >= x - EPS:
             break
     return _report(a, w0, w, passes, ap2_calls, evals, t0)

@@ -179,23 +179,47 @@ def test_dv_matches_reference_generated(name):
 
 
 def test_combined_sdv_vopt_matches_reference():
-    inst = generate(parse_instance_name("4r6", 1))
-    fam = build_family("sdv", 4)
-    start = perturb(trivial(inst), SplitMix64(1))  # dv, v-opt and dv again all improve
-    # combined's loop, over the frozen dv_search
-    a, w = _reference_dv_search(inst, start, fam)[:2]
-    while True:
-        x = w
-        rv = v_opt(inst, a)
-        a, w = rv.result, rv.final_weight
-        if w >= x - EPS:
-            break
-        x = w
-        a, w = _reference_dv_search(inst, a, fam)[:2]
-        if w >= x - EPS:
-            break
-    r = combined(inst, start, fam, "vopt")
-    assert r.result == a and r.final_weight == w
+    # combined's loop over the frozen dv_search and, for 2opt/3opt, the frozen
+    # plain k-opt: combined hands each later k-opt phase the last one's result
+    # as a local optimum, and that hint must not change the trajectory
+    def perturbed(construct, seed):
+        return lambda inst: perturb(construct(inst), SplitMix64(seed))
+
+    cases = [("4r6", 1, "sdv", "vopt", perturbed(trivial, 1))]  # dv, v-opt and dv again all improve
+    # these reach a second k-opt phase
+    cases += [(name, index, dv, "3opt", trivial)
+              for name, index in (("3gp12", 1), ("3c20", 2)) for dv in DV_VARIANTS]
+    cases += [("4r7", 2, "1dv", "2opt", greedy), ("4sr6", 2, "1dv", "2opt", trivial)]
+    # and in these a k-opt phase after the first improves
+    cases += [("4c6", 5, "1dv", "2opt", trivial), ("3gp12", 3, "1dv", "3opt", perturbed(greedy, 1)),
+              ("4gp7", 3, "2dv", "3opt", perturbed(greedy, 2)),
+              ("3sr15", 1, "1dv", "3opt", perturbed(greedy, 1))]
+    later_gains = 0
+    for name, index, dv, vectorwise, construct in cases:
+        inst = generate(parse_instance_name(name, index))
+        fam = build_family(dv, inst.s)
+        start = construct(inst)
+        a, w = _reference_dv_search(inst, start, fam)[:2]
+        kopt_phases = 0
+        while True:
+            x = w
+            if vectorwise == "vopt":
+                rv = v_opt(inst, a)
+                a, w = rv.result, rv.final_weight
+            else:
+                a, w = _reference_k_opt(inst, a, 2 if vectorwise == "2opt" else 3)[:2]
+                kopt_phases += 1
+                later_gains += kopt_phases > 1 and w < x - EPS
+            if w >= x - EPS:
+                break
+            x = w
+            a, w = _reference_dv_search(inst, a, fam)[:2]
+            if w >= x - EPS:
+                break
+        r = combined(inst, start, fam, vectorwise)
+        assert r.result == a and r.final_weight == w, (name, index, dv, vectorwise)
+        assert vectorwise == "vopt" or kopt_phases >= 2, (name, index, dv, vectorwise)
+    assert later_gains >= 4
 
 
 # -- k-opt -------------------------------------------------------------------
@@ -260,20 +284,30 @@ def test_kopt_monotone_and_valid(rng):
             assert abs(assignment_weight(inst, r.result) - r.final_weight) < 1e-9
 
 
-def test_kopt_dirty_seed_restricts_first_sweep(rng):
-    # an empty dirty set means nothing changed since the last run: no-op
+def test_kopt_on_its_own_optimum_is_a_noop(rng):
+    # handed itself as the local optimum, a start has no fresh row: one pass
+    # that screens nothing
     inst = random_explicit(3, 5, rng)
     r1 = k_opt(inst, Assignment.identity(3, 5), 2)
-    r2 = k_opt(inst, r1.result, 2, dirty=frozenset())
+    r2 = k_opt(inst, r1.result, 2, local_optimum=r1.result)
     assert r2.result == r1.result
+    assert r2.passes == 1
     assert r2.candidate_evals == 0
 
 
-@pytest.mark.parametrize("row", [-1, 5])
-def test_kopt_rejects_dirty_rows_out_of_range(rng, row):
-    inst = random_explicit(3, 5, rng)
-    with pytest.raises(ValueError, match="dirty"):
-        k_opt(inst, Assignment.identity(3, 5), 2, dirty=frozenset({0, row}))
+@pytest.mark.parametrize("k", [2, 3])
+def test_kopt_hint_must_be_the_optimum_the_start_came_from(k):
+    # the hint is trusted, not checked: a perturbed optimum handed as its own
+    # optimum has no fresh row and comes back as it went in, though plain
+    # k-opt improves it; handed the optimum it came from, it runs as plain
+    inst = generate(parse_instance_name("3c12", 1))
+    opt = k_opt(inst, trivial(inst), k).result
+    b = perturb(opt, SplitMix64(2))
+    plain = k_opt(inst, b, k)
+    assert plain.final_weight < plain.initial_weight
+    _assert_same_report(k_opt(inst, b, k, local_optimum=opt), plain)
+    wrong = k_opt(inst, b, k, local_optimum=b)
+    assert wrong.result == b and wrong.candidate_evals == 0
 
 
 def test_kopt_reverify_decides_as_the_screen():
@@ -399,9 +433,9 @@ def _reference_sweep_3opt(inst, a, w_rows, examine, floor, chunk=None):
 
 
 def _kopt_starts(inst, k, seed):
-    """(start, dirty) pairs: the trivial assignment, then three perturbed
-    k-opt local optima, each with and without the rows the perturbation
-    changed as the dirty set."""
+    """(start, local optimum) pairs: the trivial assignment, then three
+    perturbed k-opt local optima, each without and with the optimum it was
+    perturbed from as the hint."""
     a = trivial(inst)
     yield a, None
     rng = SplitMix64(seed)
@@ -409,14 +443,14 @@ def _kopt_starts(inst, k, seed):
     for _ in range(3):
         b = perturb(opt, rng)
         yield b, None
-        yield b, frozenset(np.flatnonzero((b.perms != opt.perms).any(axis=0)).tolist())
+        yield b, opt
 
 
 def _assert_kopt_matches_reference(inst, seed=0, ks=(2, 3)):
     for k in ks:
-        for a, dirty in _kopt_starts(inst, k, seed):
-            ref, ref_w, ref_passes, ref_touched = _reference_k_opt(inst, a, k, dirty)
-            r = k_opt(inst, a, k, dirty)
+        for a, opt in _kopt_starts(inst, k, seed):
+            ref, ref_w, ref_passes, ref_touched = _reference_k_opt(inst, a, k)
+            r = k_opt(inst, a, k, local_optimum=opt)
             assert r.result == ref
             assert r.final_weight == ref_w
             assert r.passes == ref_passes
@@ -448,9 +482,9 @@ def test_3opt_small_blocks_match_reference(monkeypatch, rng, chunk):
              generate(parse_instance_name("4gp6", 2))]
     for inst in insts:
         monkeypatch.setattr(localsearch, "_BATCH_ROWS", chunk * 6 ** (inst.s - 1) * 3)
-        for a, dirty in _kopt_starts(inst, 3, seed=chunk):
-            ref, ref_w, ref_passes, ref_touched = _reference_k_opt(inst, a, 3, dirty, chunk)
-            r = k_opt(inst, a, 3, dirty)
+        for a, opt in _kopt_starts(inst, 3, seed=chunk):
+            ref, ref_w, ref_passes, ref_touched = _reference_k_opt(inst, a, 3, chunk=chunk)
+            r = k_opt(inst, a, 3, local_optimum=opt)
             assert r.result == ref
             assert r.final_weight == ref_w
             assert r.passes == ref_passes
@@ -663,11 +697,9 @@ def test_chained_kopt_remembers_per_instance(rng, k):
     _assert_same_report(search(inst, b), k_opt(inst, b, k))
 
 
-def test_kopt_rejects_dirty_with_local_optimum(rng):
+def test_kopt_rejects_local_optimum_of_another_shape(rng):
     inst = random_explicit(3, 5, rng)
     a = Assignment.identity(3, 5)
-    with pytest.raises(ValueError, match="not both"):
-        k_opt(inst, a, 2, dirty=frozenset(), local_optimum=a)
     with pytest.raises(ValueError, match="shape"):
         k_opt(inst, a, 2, local_optimum=Assignment.identity(3, 4))
 
@@ -942,6 +974,25 @@ def test_combined_with_vopt_monotone(rng):
     r = combined(inst, Assignment.identity(4, 4), fam, "vopt")
     assert r.final_weight <= r.initial_weight
     r.result.validate()
+
+
+def test_combined_later_kopt_phases_screen_less(monkeypatch):
+    # a k-opt phase after the first screens first only the rows the dv phase
+    # before it moved: the report of plain k-opt phases, fewer candidates
+    plain_k_opt = localsearch.k_opt
+    cases = [("3sr15", 1, "1dv", "3opt", lambda inst: perturb(greedy(inst), SplitMix64(1))),
+             ("4gp7", 3, "2dv", "3opt", lambda inst: perturb(greedy(inst), SplitMix64(2))),
+             ("4c6", 5, "1dv", "2opt", trivial)]
+    for name, index, dv, vectorwise, construct in cases:
+        inst = generate(parse_instance_name(name, index))
+        fam, start = build_family(dv, inst.s), construct(inst)
+        r = combined(inst, start, fam, vectorwise)
+        monkeypatch.setattr(localsearch, "k_opt", lambda inst_, a, k, **_: plain_k_opt(inst_, a, k))
+        ref = combined(inst, start, fam, vectorwise)
+        monkeypatch.undo()
+        assert r.result == ref.result and r.final_weight == ref.final_weight
+        assert r.passes == ref.passes and r.ap2_calls == ref.ap2_calls
+        assert r.candidate_evals < ref.candidate_evals, name
 
 
 # -- enumeration oracle -------------------------------------------------------
