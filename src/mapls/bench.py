@@ -1,9 +1,10 @@
 """Benchmark harness: named experiment runs over generated instances, with
-per-row CSV output, family/size aggregate rows and a persisted best-known
-registry used as the error denominator when the family pins down no
-optimum. Random and planted rows divide by a*n: exact by construction on
-planted instances, a proven lower bound on random ones, and their optimum
-only with high probability at the benchmark's sizes.
+per-row CSV output and family/size aggregate rows. Random and planted rows
+divide by `Instance.lower_bound()`, a*n: exact by construction on planted
+instances, a proven lower bound on random ones, and their optimum only with
+high probability at the benchmark's sizes. The other families divide by a
+persisted best-known registry, which refuses random and planted names and
+treats a stored value below the instance's lower bound as corrupt.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ import time
 from dataclasses import dataclass, field
 
 from .construct import greedy, max_regret, rom, trivial
-from .core import Instance
+from .core import Family, Instance
 from .generate import (
     FamilySpec,
     TAG_BY_FAMILY,
-    family_optimum,
     generate,
     known_optimum,
     parse_instance_name,
@@ -252,15 +252,12 @@ def read_registry(path: str) -> dict[tuple[str, int], float]:
 
 def update_best_known(path: str, name: str, index: int, value: float) -> bool:
     """Record `value` when it strictly beats the stored best. Returns whether
-    it improved. Rejects values below a proven family lower bound."""
+    it improved. Refuses random and planted names, whose rows divide by a*n;
+    only the family is read from the name, so nothing is generated."""
     if not math.isfinite(value):
         raise ValueError("weight must be finite")
-    spec = parse_instance_name(name, index)
-    bound = family_optimum(spec.family, spec.n, spec.params)
-    if bound is not None and value < bound - EPS:
-        raise ValueError(
-            f"{name} #{index}: weight {value} is below proven lower bound {bound}"
-        )
+    if parse_instance_name(name, index).family in (Family.RANDOM, Family.PLANTED):
+        raise ValueError(f"{name}: random and planted rows divide by a*n, not the registry")
     lock_path = path + ".lock"
     with open(lock_path, "w") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
@@ -284,11 +281,15 @@ def resolve_best_known(registry: str, fam: FamilySpec, inst: Instance, achieved:
     """Error denominator for a run: a*n on random and planted instances (the
     planted optimum; on random ones a proven lower bound that is the optimum
     only with high probability), otherwise the registry best
-    (seeded/improved by this run)."""
+    (seeded/improved by this run). A stored best below the instance's lower
+    bound is a corrupt entry."""
     known = known_optimum(inst)
     if known is not None:
         return known
     stored = read_registry(registry).get((fam.name, fam.index))
+    if stored is not None and stored < inst.lower_bound() - EPS:
+        raise ValueError(f"{registry}: corrupt entry {fam.name} {fam.index} {_num(stored)}: "
+                         f"below the lower bound {_num(inst.lower_bound())}")
     if stored is None or achieved < stored - EPS:
         update_best_known(registry, fam.name, fam.index, achieved)
         return achieved

@@ -46,6 +46,8 @@ _PAIR_BLOCK = 1 << 14
 class WeightModel:
     """Weight function over the vector grid. Immutable after construction."""
 
+    # the family the model's weights belong to; an Instance must name it
+    family: Family
     # the (s, n) grid the model was built for; None if it weighs any grid
     shape: tuple[int, int] | None = None
 
@@ -53,7 +55,7 @@ class WeightModel:
         """Weights of an (m, s) int array of vectors, as float64 (m,)."""
         raise NotImplementedError
 
-    def min_weight_floor(self, inst: "Instance") -> float:
+    def min_weight_floor(self) -> float:
         """A lower bound on every vector weight; exact minimum not required."""
         raise NotImplementedError
 
@@ -85,6 +87,8 @@ class LazyRandom(WeightModel):
     i.e. near-identical weight landscapes.
     """
 
+    family = Family.RANDOM
+
     def __init__(self, a: int, b: int):
         if not a < b:
             raise ValueError(f"LazyRandom requires a < b, got a={a} b={b}")
@@ -108,7 +112,7 @@ class LazyRandom(WeightModel):
     def batch(self, inst, coords):
         return self._rank_weights(inst, _ranks(inst.n, inst.s, coords))
 
-    def min_weight_floor(self, inst):
+    def min_weight_floor(self):
         return float(self.a)
 
 
@@ -118,6 +122,8 @@ class Planted(LazyRandom):
     planted vectors' ranks are computed once, indexed by their row (their
     dimension-0 coordinate), so a vector is planted iff its rank equals the
     planted rank of its row."""
+
+    family = Family.PLANTED
 
     def __init__(self, a: int, b: int, planted: "Assignment"):
         super().__init__(a, b)
@@ -136,6 +142,8 @@ class Planted(LazyRandom):
 class ExplicitTensor(WeightModel):
     """Dense weight tensor, flat in lexicographic order (dim 0 most significant)."""
 
+    family = Family.EXPLICIT
+
     def __init__(self, s: int, n: int, values: Sequence[float]):
         vals = np.asarray(values, dtype=np.float64).ravel()
         if len(vals) != n**s:
@@ -151,7 +159,7 @@ class ExplicitTensor(WeightModel):
     def batch(self, inst, coords):
         return self.values[_ranks(inst.n, inst.s, coords)]
 
-    def min_weight_floor(self, inst):
+    def min_weight_floor(self):
         return self._min
 
 
@@ -165,6 +173,8 @@ class CliqueSum(WeightModel):
     from the stack, and one sum over the pair axis, which adds the pairs in
     pair order as a running sum would, so every weight is the same float.
     """
+
+    family = Family.CLIQUE
 
     def __init__(self, s: int, mats: dict[tuple[int, int], np.ndarray]):
         self.mats = {k: np.asarray(v, dtype=np.float64) for k, v in sorted(mats.items())}
@@ -208,7 +218,7 @@ class CliqueSum(WeightModel):
     def batch(self, inst, coords):
         return self._pair_sum(coords)
 
-    def min_weight_floor(self, inst):
+    def min_weight_floor(self):
         return float(self._floor_sum())
 
 
@@ -217,6 +227,8 @@ class SquareRootSquares(CliqueSum):
     rounded to the nearest integer. The stack holds the squares, so `mats`
     keeps the distances."""
 
+    family = Family.SQUAREROOT
+
     def __init__(self, s: int, mats: dict[tuple[int, int], np.ndarray]):
         super().__init__(s, mats)
         self._stack = self._stack**2
@@ -224,7 +236,7 @@ class SquareRootSquares(CliqueSum):
     def batch(self, inst, coords):
         return _round_half_up(np.sqrt(self._pair_sum(coords)))
 
-    def min_weight_floor(self, inst):
+    def min_weight_floor(self):
         return float(_round_half_up(np.sqrt(self._floor_sum())))
 
 
@@ -233,6 +245,8 @@ class GeometricPoints(CliqueSum):
     the vector weight is rounded to the nearest integer. The points are kept
     (the file format stores them) and the distance tables built once from
     them, so `mats` holds the distances."""
+
+    family = Family.GEOMETRIC
 
     def __init__(self, points: Sequence[np.ndarray]):
         self.points = [np.asarray(p, dtype=np.float64) for p in points]
@@ -252,12 +266,14 @@ class GeometricPoints(CliqueSum):
     def batch(self, inst, coords):
         return _round_half_up(self._pair_sum(coords))
 
-    def min_weight_floor(self, inst):
+    def min_weight_floor(self):
         return float(_round_half_up(self._floor_sum()))
 
 
 class ProductWeights(WeightModel):
     """Decomposable weights: product of one positive factor per dimension."""
+
+    family = Family.PRODUCT
 
     def __init__(self, factors: Sequence[np.ndarray]):
         self.factors = [np.asarray(f, dtype=np.float64) for f in factors]
@@ -276,7 +292,7 @@ class ProductWeights(WeightModel):
             acc *= self.factors[j][coords[:, j]]
         return acc
 
-    def min_weight_floor(self, inst):
+    def min_weight_floor(self):
         out = 1.0
         for f in self.factors:
             out *= float(f.min())
@@ -298,6 +314,9 @@ class Instance:
             raise ValueError(f"s must be >= 3, got {self.s}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.weights.family != self.family:
+            raise ValueError(f"{type(self.weights).__name__} weights are of family "
+                             f"{self.weights.family.value}, not {Family(self.family).value}")
         shape = self.weights.shape
         if shape is not None and shape != (self.s, self.n):
             raise ValueError(f"weight model is for (s, n) = {shape}, not ({self.s}, {self.n})")
@@ -316,7 +335,12 @@ class Instance:
         return self.weights.batch(self, np.asarray(coords, dtype=np.int64))
 
     def min_weight_floor(self) -> float:
-        return self.weights.min_weight_floor(self)
+        return self.weights.min_weight_floor()
+
+    def lower_bound(self) -> float:
+        """n times the weight floor, a proven bound on every assignment's
+        weight: a*n on random and planted instances (see known_optimum)."""
+        return self.n * self.weights.min_weight_floor()
 
 
 class Assignment:

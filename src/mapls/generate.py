@@ -11,7 +11,7 @@ are lazy and counter-keyed (see core.LazyRandom).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -63,7 +63,6 @@ class FamilySpec:
     s: int
     n: int
     index: int = 1
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.index < 1:
@@ -107,69 +106,50 @@ def _draw_pair_matrices(stream: SplitMix64, s: int, n: int, lo: int, hi: int):
 
 def generate(spec: FamilySpec) -> Instance:
     """Generate the instance for a spec; deterministic in (family, s, n, index)."""
-    seed = spec.seed
-    return build_generated_instance(spec.family, spec.s, spec.n, seed, spec.params)
+    return build_generated_instance(spec.family, spec.s, spec.n, spec.seed)
 
 
-def build_generated_instance(
-    family: Family, s: int, n: int, seed: int, params: dict | None = None
-) -> Instance:
+def build_generated_instance(family: Family, s: int, n: int, seed: int) -> Instance:
     """Build a generated-family instance straight from its seed."""
-    params = params or {}
     if family in (Family.RANDOM, Family.PLANTED) and n**s > 2**64:
         # LazyRandom keys weights by a uint64 rank, which would wrap and alias
         raise ValueError(f"random weights need n^s <= 2^64, got n={n} s={s}")
     stream = SplitMix64(seed)
 
     if family == Family.RANDOM:
-        a, b = params.get("a", RANDOM_RANGE[0]), params.get("b", RANDOM_RANGE[1])
-        return Instance(s, n, family, seed, LazyRandom(a, b))
+        return Instance(s, n, family, seed, LazyRandom(*RANDOM_RANGE))
 
     if family == Family.PLANTED:
-        a, b = params.get("a", RANDOM_RANGE[0]), params.get("b", RANDOM_RANGE[1])
         perms = np.empty((s, n), dtype=np.int64)
         perms[0] = np.arange(n)
         for j in range(1, s):
             perms[j] = stream.permutation(n)
-        return Instance(s, n, family, seed, Planted(a, b, Assignment(perms)))
+        return Instance(s, n, family, seed, Planted(*RANDOM_RANGE, Assignment(perms)))
 
     if family in (Family.CLIQUE, Family.SQUAREROOT):
-        lo = params.get("edge_lo", EDGE_RANGE[0])
-        hi = params.get("edge_hi", EDGE_RANGE[1])
-        mats = _draw_pair_matrices(stream, s, n, lo, hi)
+        mats = _draw_pair_matrices(stream, s, n, *EDGE_RANGE)
         cls = CliqueSum if family == Family.CLIQUE else SquareRootSquares
         return Instance(s, n, family, seed, cls(s, mats))
 
     if family == Family.GEOMETRIC:
-        lo = params.get("coord_lo", COORD_RANGE[0])
-        hi = params.get("coord_hi", COORD_RANGE[1])
         points = [
-            stream.randint_block(lo, hi, 2 * n).reshape(n, 2).astype(np.float64)
+            stream.randint_block(*COORD_RANGE, 2 * n).reshape(n, 2).astype(np.float64)
             for _ in range(s)
         ]
         return Instance(s, n, family, seed, GeometricPoints(points))
 
     if family == Family.PRODUCT:
-        lo = params.get("val_lo", FACTOR_RANGE[0])
-        hi = params.get("val_hi", FACTOR_RANGE[1])
-        factors = [stream.randint_block(lo, hi, n).astype(np.float64) for _ in range(s)]
+        factors = [stream.randint_block(*FACTOR_RANGE, n).astype(np.float64) for _ in range(s)]
         return Instance(s, n, family, seed, ProductWeights(factors))
 
     raise ValueError(f"unsupported family for generation: {family}")
 
 
-def family_optimum(family: Family, n: int, params: dict | None = None) -> float | None:
-    """Provable optimal weight of a generated instance when its family pins
-    one down, read from the spec alone: a*n for random (overwhelmingly
-    likely, used as the benchmark denominator) and planted (exact by
-    construction), with a taken from params as the generator takes it."""
-    if family in (Family.RANDOM, Family.PLANTED):
-        return float((params or {}).get("a", RANDOM_RANGE[0]) * n)
-    return None
-
-
 def known_optimum(inst: Instance) -> float | None:
-    """family_optimum of an instance, with a read from its weight model."""
-    if isinstance(inst.weights, LazyRandom):
-        return family_optimum(inst.family, inst.n, {"a": inst.weights.a})
+    """The optimum a*n that the random and planted families pin down, as
+    `inst.lower_bound()`: exact by construction on planted instances, and
+    on random ones the optimum with high probability at the benchmark's
+    sizes; None on every other family."""
+    if inst.family in (Family.RANDOM, Family.PLANTED):
+        return inst.lower_bound()
     return None

@@ -6,9 +6,9 @@ and re-run the local search until a wall-clock or iteration budget runs
 out. Budgets are sampled between local-search calls, never inside them, so
 a run can overshoot by at most one call; with an iteration cap the whole
 procedure is deterministic for a fixed rng seed. A time-budgeted run also
-ends once its best weight reaches the proven bound n * floor, and sets
-`MetaResult.stopped_at_bound`: a replacement must be strictly lighter, so
-the rest of the budget could not change it.
+ends once its best weight reaches the proven bound `inst.lower_bound()`,
+and sets `MetaResult.stopped_at_bound`: a replacement must be strictly
+lighter, so the rest of the budget could not change it.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class _Budget:
         self.calls = 0
         # iteration-capped runs always make exactly their N calls
         timed = cfg.time_budget is not None
-        self.bound = inst.n * inst.min_weight_floor() if timed else -math.inf
+        self.bound = inst.lower_bound() if timed else -math.inf
 
     def exhausted(self) -> bool:
         if self.cfg.iteration_cap is not None:

@@ -62,12 +62,9 @@ class SplitMix64:
         z += np.uint64(self.seed)
         return mix64_array(z)
 
-    def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi] inclusive (modulo reduction; the bias
-        is negligible for the ranges used here, all far below 2**64)."""
-        return lo + self.next_u64() % (hi - lo + 1)
-
     def randint_block(self, lo: int, hi: int, m: int) -> np.ndarray:
+        """m uniform integers in [lo, hi] inclusive (modulo reduction; the
+        bias is negligible for the ranges used here, all far below 2**64)."""
         span = np.uint64(hi - lo + 1)
         return (self.next_block(m) % span).astype(np.int64) + lo
 

@@ -41,14 +41,31 @@ def test_registry_first_entry_improves(tmp_path):
 
 
 def test_registry_rejects_below_lower_bound(tmp_path):
-    reg = str(tmp_path / "reg.txt")
-    with pytest.raises(ValueError, match="below proven lower bound"):
-        update_best_known(reg, "3r20", 1, 19.0)
-    assert update_best_known(reg, "3r20", 1, 20.0) is True
+    # random and planted rows divide by a*n, so the registry takes no value
+    # for them, however low or high
+    reg = tmp_path / "reg.txt"
+    for name in ("3r20", "4gp9"):
+        for value in (19.0, 20.0, 1e6):
+            with pytest.raises(ValueError, match="not the registry"):
+                update_best_known(str(reg), name, 1, value)
+    assert not reg.exists()
+
+
+def test_resolve_best_known_rejects_stored_below_lower_bound(tmp_path):
+    # a stored clique best below n * floor is a corrupt entry
+    reg = tmp_path / "reg.txt"
+    fam = parse_instance_name("3c6", 1)
+    inst = generate(fam)
+    bound = inst.lower_bound()
+    reg.write_text(f"3c6 1 {bound - 1:g}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{reg}: corrupt entry 3c6 1")):
+        resolve_best_known(str(reg), fam, inst, bound + 50)
+    reg.write_text(f"3c6 1 {bound:g}\n")
+    assert resolve_best_known(str(reg), fam, inst, bound + 50) == bound
 
 
 def test_registry_bound_needs_no_generation(tmp_path, monkeypatch):
-    # the a*n bound comes from the parsed name, not from a generated instance
+    # the family comes from the parsed name, not from a generated instance
     import mapls.bench as bench
 
     def refuse(spec):
@@ -57,8 +74,9 @@ def test_registry_bound_needs_no_generation(tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "generate", refuse)
     reg = str(tmp_path / "reg.txt")
     assert update_best_known(reg, "3c10", 1, 500.0) is True
-    with pytest.raises(ValueError, match="below proven lower bound"):
-        update_best_known(reg, "3r20", 1, 19.0)
+    for name in ("3r20", "3gp20"):
+        with pytest.raises(ValueError, match="not the registry"):
+            update_best_known(reg, name, 1, 19.0)
     assert read_registry(reg) == {("3c10", 1): 500.0}
 
 
@@ -162,8 +180,12 @@ def test_cli_generate_and_verify(tmp_path):
     assert r.returncode == 0
     r = run_cli("verify", "--instance", str(inst_path), "--assignment", str(asg_path))
     assert r.returncode == 0 and r.stdout.startswith("OK weight=")
+    verified = r.stdout.strip().removeprefix("OK weight=")
     r = run_cli("verify", "--name", "3c6", "--index", "2", "--assignment", str(asg_path))
     assert r.returncode == 0
+    r = run_cli("construct", "--name", "3c6", "--index", "2", "--heuristic", "greedy", "--csv")
+    assert r.returncode == 0
+    assert r.stdout.strip().split(",")[:5] == ["3c6", "2", "11", "greedy", verified]
 
 
 def test_cli_verify_rejects_invalid(tmp_path):

@@ -14,6 +14,7 @@ from mapls import (
     Family,
     GeometricPoints,
     Instance,
+    LazyRandom,
     Planted,
     ProductWeights,
     SquareRootSquares,
@@ -30,8 +31,8 @@ from mapls.rng import mix64, mix64_array
 from conftest import explicit_instance, from_perm_rows, swap_vectors
 
 
-def clique_instance(s, n, mats, cls=CliqueSum):
-    return Instance(s, n, Family.CLIQUE, 0, cls(s, mats))
+def clique_instance(s, n, mats):
+    return Instance(s, n, Family.CLIQUE, 0, CliqueSum(s, mats))
 
 
 def test_cliquesum_single_entries():
@@ -250,6 +251,18 @@ def test_instance_rejects_planted_assignment_of_another_shape():
         Instance(4, 6, Family.PLANTED, 1, Planted(1, 101, Assignment.identity(3, 6)))
 
 
+def test_instance_rejects_family_other_than_its_weights():
+    # a random header over explicit weights would reload as random weights,
+    # and a clique header would make dump_instance look for pair tables
+    for family in (Family.RANDOM, Family.CLIQUE):
+        with pytest.raises(ValueError, match="ExplicitTensor weights are of family explicit"):
+            Instance(3, 2, family, 0, ExplicitTensor(3, 2, np.arange(8.0)))
+    with pytest.raises(ValueError, match="family clique, not squareroot"):
+        Instance(3, 2, Family.SQUAREROOT, 0, CliqueSum(3, _pair_mats(3, 2)))
+    with pytest.raises(ValueError, match="family planted, not random"):
+        Instance(3, 6, Family.RANDOM, 1, Planted(1, 101, Assignment.identity(3, 6)))
+
+
 # Frozen copies of the random and planted kernels that ranked a uint64 copy
 # of the coordinates and masked planted vectors with s - 1 gathers, which the
 # in-place kernel must match bit for bit.
@@ -286,8 +299,10 @@ def _lazy_instances():
         for shape in ("3{}150", "4{}25", "5{}40", "6{}9", "7{}6", "8{}4", "8{}256"):
             for index in (1, 2):
                 yield generate(parse_instance_name(shape.format(tag), index))
-    for family in (Family.RANDOM, Family.PLANTED):
-        yield build_generated_instance(family, 4, 9, 123, {"a": 5, "b": 17})
+    # a = 5, b = 17 over the planted assignment the generator draws at seed 123
+    planted = build_generated_instance(Family.PLANTED, 4, 9, 123).weights.planted
+    yield Instance(4, 9, Family.RANDOM, 123, LazyRandom(5, 17))
+    yield Instance(4, 9, Family.PLANTED, 123, Planted(5, 17, planted))
 
 
 @pytest.mark.filterwarnings("error")

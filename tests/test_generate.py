@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from mapls import (
+    Assignment,
     Family,
+    Instance,
+    Planted,
     assignment_weight,
     generate,
     known_optimum,
     parse_instance_name,
 )
-from mapls.generate import FamilySpec, family_optimum
+from mapls.generate import FamilySpec
 from mapls.meta import perturb
 from mapls.rng import SplitMix64
 
-from conftest import all_vectors
+from conftest import all_vectors, brute_force_optimum, random_explicit
 
 
 def test_parse_examples():
@@ -90,12 +93,33 @@ def test_known_optimum():
     assert known_optimum(generate(parse_instance_name("3c10", 1))) is None
 
 
-def test_family_optimum_matches_known_optimum():
-    for name in ("3r150", "5gp12", "3c10", "4g6", "3sr10", "5p5"):
-        spec = parse_instance_name(name, 2)
-        assert family_optimum(spec.family, spec.n, spec.params) == known_optimum(generate(spec))
-    spec = FamilySpec(Family.PLANTED, 4, 9, 1, {"a": 5, "b": 17})
-    assert family_optimum(spec.family, spec.n, spec.params) == known_optimum(generate(spec)) == 45.0
+def test_known_optimum_is_lower_bound():
+    for name, expected in (("3r150", 150.0), ("5gp12", 12.0), ("8r9", 9.0), ("4gp30", 30.0)):
+        inst = generate(parse_instance_name(name, 2))
+        assert known_optimum(inst) == inst.lower_bound() == expected
+    perms = np.vstack([np.arange(9), np.roll(np.arange(9), 1), np.arange(9)[::-1], np.arange(9)])
+    inst = Instance(4, 9, Family.PLANTED, 3, Planted(5, 17, Assignment(perms)))
+    assert known_optimum(inst) == inst.lower_bound() == 45.0
+    assert assignment_weight(inst, inst.weights.planted) == 45.0
+    for name in ("3c10", "4g6", "5p5", "3sr10"):
+        assert known_optimum(generate(parse_instance_name(name, 2))) is None
+
+
+@pytest.mark.parametrize("name", ["3r4", "3gp4", "3c4", "3g4", "3p4", "3sr4", "4c3", "4p3"])
+def test_lower_bound_at_most_optimum(name):
+    for index in (1, 2, 3):
+        inst = generate(parse_instance_name(name, index))
+        optimum = brute_force_optimum(inst)
+        assert inst.lower_bound() <= optimum
+        if inst.family == Family.PLANTED:
+            assert inst.lower_bound() == optimum
+
+
+def test_lower_bound_at_most_optimum_explicit(rng):
+    for s, n in ((3, 4), (4, 3), (3, 3)):
+        for _ in range(3):
+            inst = random_explicit(s, n, rng, lo=20)
+            assert 20 * n <= inst.lower_bound() <= brute_force_optimum(inst)
 
 
 def test_nearby_seeds_give_unrelated_instances():
