@@ -3,8 +3,10 @@
 Greedy and max-regret run the same rounds, each scanning the grid of
 vectors compatible with the current partial assignment in lexicographic
 order, in bounded numpy blocks so that even n^s in the hundreds of millions
-stays tractable. Ties are always broken toward the lexicographically
-smallest vector, which keeps every heuristic deterministic.
+stays tractable. ROM's aggregates run on the same block scan, so no
+construction weighs more than BLOCK_ROWS vectors per call. Ties are always
+broken toward the lexicographically smallest vector, which keeps every
+heuristic deterministic.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ def _iter_grid_blocks(sets: list[np.ndarray], limit: int = BLOCK_ROWS):
         split -= 1
         suffix *= sizes[split]
     block = np.empty((suffix, s), dtype=np.int64)
-    for j, m in enumerate(np.meshgrid(*sets[split:], indexing="ij"), start=split):
-        block[:, j] = m.ravel()
+    grid = block.reshape(*sizes[split:], s)
+    for j in range(split, s):
+        grid[..., j] = sets[j].reshape([-1 if i == j else 1 for i in range(split, s)])
     for prefix in np.ndindex(*sizes[:split]):
         block[:, :split] = [x[p] for x, p in zip(sets, prefix)]
         yield prefix, block
@@ -132,28 +135,18 @@ def rom(inst: Instance) -> Assignment:
 
 def _rom_aggregate(inst: Instance, perms: np.ndarray, level: int) -> np.ndarray:
     """agg[r, v]: total weight of vectors bound to row r through dimensions
-    0..level, with dimension level+1 at value v and later dimensions free."""
+    0..level, with dimension level+1 at value v and later dimensions free.
+    A block without a prefix holds row r's whole (v, free) grid; otherwise
+    its prefix fixes v and the block adds a partial sum."""
     s, n = inst.s, inst.n
-    free_dims = s - level - 2
-    free = n**free_dims
-    if free_dims:
-        mesh = np.meshgrid(*[np.arange(n)] * free_dims, indexing="ij")
-        free_coords = np.stack([m.ravel() for m in mesh], axis=1).astype(np.int64)
-    else:
-        free_coords = np.zeros((1, 0), dtype=np.int64)
-
-    agg = np.empty((n, n), dtype=np.float64)
-    rows_per_chunk = max(1, BLOCK_ROWS // (n * free))
-    cell = np.empty((n * free, s), dtype=np.int64)
-    cell[:, level + 1] = np.repeat(np.arange(n), free)
-    cell[:, level + 2 :] = np.tile(free_coords, (n, 1))
-    for start in range(0, n, rows_per_chunk):
-        rows = range(start, min(n, start + rows_per_chunk))
-        blocks = []
-        for r in rows:
-            for m in range(level + 1):
-                cell[:, m] = perms[m, r]
-            blocks.append(cell.copy())
-        w = inst.weight_batch(np.concatenate(blocks))
-        agg[list(rows)] = w.reshape(len(blocks), n, free).sum(axis=2)
+    agg = np.zeros((n, n))
+    for r in range(n):
+        sets = [perms[m, r : r + 1] for m in range(level + 1)]
+        sets += [np.arange(n)] * (s - level - 1)
+        for prefix, block in _iter_grid_blocks(sets):
+            w = inst.weight_batch(block)
+            if prefix:
+                agg[r, prefix[level + 1]] += w.sum()
+            else:
+                agg[r] = w.reshape(n, -1).sum(axis=1)
     return agg

@@ -331,7 +331,10 @@ class Instance:
         return float(self.weights.batch(self, coords[None, :])[0])
 
     def weight_batch(self, coords: np.ndarray) -> np.ndarray:
-        """Weights of an (m, s) coordinate array; no range validation."""
+        """Weights of an (m, s) coordinate array. Every coordinate must lie
+        in [0, n); nothing checks it, and other values give undefined
+        results: a wrong weight, another vector's weight or an IndexError,
+        depending on the family. Instance.weight checks the range."""
         return self.weights.batch(self, np.asarray(coords, dtype=np.int64))
 
     def min_weight_floor(self) -> float:

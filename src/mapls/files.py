@@ -27,6 +27,7 @@ from .core import (
     ProductWeights,
     SquareRootSquares,
 )
+from .generate import build_generated_instance
 
 
 def _fmt(x: float) -> str:
@@ -86,8 +87,6 @@ def load_instance(path) -> Instance:
     rest = "\n".join(lines[1:])
 
     if family in (Family.RANDOM, Family.PLANTED):
-        from .generate import build_generated_instance
-
         return build_generated_instance(family, s, n, seed)
 
     if family == Family.EXPLICIT:

@@ -112,13 +112,11 @@ class LocalSearchReport:
     ap2_calls: int
     candidate_evals: int
     elapsed: float
-    touched_rows: frozenset | None = None
 
 
-def _report(result, w0, w1, passes, ap2, evals, t0, touched=None) -> LocalSearchReport:
+def _report(result, w0, w1, passes, ap2, evals, t0) -> LocalSearchReport:
     return LocalSearchReport(
-        result, float(w0), float(w1), passes, ap2, evals,
-        time.perf_counter() - t0, touched,
+        result, float(w0), float(w1), passes, ap2, evals, time.perf_counter() - t0
     )
 
 
@@ -227,7 +225,6 @@ def k_opt(
     fresh = None if local_optimum is None else (a.perms != local_optimum.perms).any(axis=0)
     subsets = _row_subsets(inst.n, k)
     examine = np.ones(inst.n, dtype=bool)
-    touched = np.zeros(inst.n, dtype=bool)
     passes = evals = 0
     while True:
         passes += 1
@@ -236,9 +233,7 @@ def k_opt(
         evals += n_evals
         if not examine.any():
             break
-        touched |= examine
-    return _report(a, w0, float(w_rows.sum()), passes, 0, evals, t0,
-                   frozenset(np.flatnonzero(touched).tolist()))
+    return _report(a, w0, float(w_rows.sum()), passes, 0, evals, t0)
 
 
 def _sweep(inst, a, w_rows, subsets, examine, floor, fresh):

@@ -19,6 +19,7 @@ from mapls import (
 )
 
 from mapls import construct
+from mapls.ap2 import solve_ap2
 from conftest import all_vectors, brute_force_optimum, explicit_instance, random_explicit
 
 FAMILY_SAMPLE = ["3r8", "3gp8", "3c8", "3g8", "3p8", "3sr8", "4r5", "5p4", "6r3"]
@@ -124,9 +125,10 @@ def test_greedy_beats_trivial_on_random():
     assert assignment_weight(inst, greedy(inst)) < assignment_weight(inst, trivial(inst))
 
 
-# Frozen reference: the scatter-based block scan, greedy and max-regret that
-# the constructions must reproduce bit for bit under every block limit.
-# Bodies are kept verbatim; the names carry a _ref prefix.
+# Frozen reference: the scatter-based block scan, greedy, max-regret and the
+# row-chunked ROM aggregate that the constructions must reproduce bit for bit
+# under every block limit. Bodies are kept verbatim; the names carry a _ref
+# prefix.
 
 
 def _ref_iter_grid_blocks(sets: list[np.ndarray], limit: int = 500_000):
@@ -254,6 +256,52 @@ def _ref_max_regret_round(inst: Instance, sets: list[np.ndarray]) -> np.ndarray:
     return vec
 
 
+_REF_BLOCK_ROWS = 500_000
+
+
+def _ref_rom(inst: Instance) -> Assignment:
+    """Recursive aggregate matching: at each level, pair the chain built so
+    far with the next dimension's values by solving a 2-AP over summed
+    weights of all completions."""
+    s, n = inst.s, inst.n
+    perms = np.empty((s, n), dtype=np.int64)
+    perms[0] = np.arange(n)
+    for level in range(s - 1):
+        agg = _ref_rom_aggregate(inst, perms, level)
+        sigma, _ = solve_ap2(agg)
+        perms[level + 1] = sigma
+    return Assignment(perms)
+
+
+def _ref_rom_aggregate(inst: Instance, perms: np.ndarray, level: int) -> np.ndarray:
+    """agg[r, v]: total weight of vectors bound to row r through dimensions
+    0..level, with dimension level+1 at value v and later dimensions free."""
+    s, n = inst.s, inst.n
+    free_dims = s - level - 2
+    free = n**free_dims
+    if free_dims:
+        mesh = np.meshgrid(*[np.arange(n)] * free_dims, indexing="ij")
+        free_coords = np.stack([m.ravel() for m in mesh], axis=1).astype(np.int64)
+    else:
+        free_coords = np.zeros((1, 0), dtype=np.int64)
+
+    agg = np.empty((n, n), dtype=np.float64)
+    rows_per_chunk = max(1, _REF_BLOCK_ROWS // (n * free))
+    cell = np.empty((n * free, s), dtype=np.int64)
+    cell[:, level + 1] = np.repeat(np.arange(n), free)
+    cell[:, level + 2 :] = np.tile(free_coords, (n, 1))
+    for start in range(0, n, rows_per_chunk):
+        rows = range(start, min(n, start + rows_per_chunk))
+        blocks = []
+        for r in rows:
+            for m in range(level + 1):
+                cell[:, m] = perms[m, r]
+            blocks.append(cell.copy())
+        w = inst.weight_batch(np.concatenate(blocks))
+        agg[list(rows)] = w.reshape(len(blocks), n, free).sum(axis=2)
+    return agg
+
+
 REFERENCE_CASES = [
     f"{kind}-{s}-{n}"
     for s, n in [(3, 1), (3, 2), (3, 6), (4, 5), (5, 4), (6, 3), (3, 9)]
@@ -285,7 +333,35 @@ def test_constructions_match_frozen_reference(case, monkeypatch):
     # block limit is also forced to 1 (every dim a prefix), 7 and n^2 + 1
     inst = _reference_instance(case)
     want_greedy, want_regret = _ref_greedy(inst).perms, _ref_max_regret(inst).perms
+    want_rom = _ref_rom(inst).perms
     for limit in (construct.BLOCK_ROWS, 1, 7, inst.n**2 + 1):
         monkeypatch.setattr(construct._iter_grid_blocks, "__defaults__", (limit,))
         assert np.array_equal(greedy(inst).perms, want_greedy), limit
         assert np.array_equal(max_regret(inst).perms, want_regret), limit
+        assert np.array_equal(rom(inst).perms, want_rom), limit
+
+
+def test_rom_matches_frozen_reference_on_non_integer_weights():
+    # at the default limit each block holds a row's whole (v, free) grid, so
+    # ROM sums every aggregate entry as the reference does, bit for bit
+    rng = np.random.default_rng(8)
+    inst = explicit_instance(8, 4, rng.random(4**8) / 3.0)
+    assert np.array_equal(rom(inst).perms, _ref_rom(inst).perms)
+
+
+@pytest.mark.parametrize("heuristic", [greedy, max_regret, rom])
+@pytest.mark.parametrize("name", ["3r8", "4c5", "5gp4", "6sr3"])
+def test_constructions_weigh_at_most_the_block_limit(heuristic, name, monkeypatch):
+    inst = generate(parse_instance_name(name, 1))
+    batch = Instance.weight_batch
+    for limit in (7, 50):
+        rows = []
+
+        def counting(self, coords):
+            rows.append(len(coords))
+            return batch(self, coords)
+
+        monkeypatch.setattr(Instance, "weight_batch", counting)
+        monkeypatch.setattr(construct._iter_grid_blocks, "__defaults__", (limit,))
+        heuristic(inst)
+        assert rows and max(rows) <= limit, limit

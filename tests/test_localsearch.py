@@ -323,7 +323,7 @@ def test_kopt_reverify_decides_as_the_screen():
     inst = explicit_instance(3, 2, values.ravel())
     r = k_opt(inst, Assignment.identity(3, 2), 2)
     assert r.result == Assignment(np.array([[0, 1], [1, 0], [1, 0]]))
-    assert r.final_weight == x and r.touched_rows == frozenset({0, 1})
+    assert r.final_weight == x
 
 
 def _reference_k_opt(inst, a, k, dirty=None, chunk=None):
@@ -449,12 +449,11 @@ def _kopt_starts(inst, k, seed):
 def _assert_kopt_matches_reference(inst, seed=0, ks=(2, 3)):
     for k in ks:
         for a, opt in _kopt_starts(inst, k, seed):
-            ref, ref_w, ref_passes, ref_touched = _reference_k_opt(inst, a, k)
+            ref, ref_w, ref_passes, _ = _reference_k_opt(inst, a, k)
             r = k_opt(inst, a, k, local_optimum=opt)
             assert r.result == ref
             assert r.final_weight == ref_w
             assert r.passes == ref_passes
-            assert r.touched_rows == ref_touched
 
 
 def test_kopt_matches_reference_explicit(rng):
@@ -483,12 +482,11 @@ def test_3opt_small_blocks_match_reference(monkeypatch, rng, chunk):
     for inst in insts:
         monkeypatch.setattr(localsearch, "_BATCH_ROWS", chunk * 6 ** (inst.s - 1) * 3)
         for a, opt in _kopt_starts(inst, 3, seed=chunk):
-            ref, ref_w, ref_passes, ref_touched = _reference_k_opt(inst, a, 3, chunk=chunk)
+            ref, ref_w, ref_passes, _ = _reference_k_opt(inst, a, 3, chunk=chunk)
             r = k_opt(inst, a, 3, local_optimum=opt)
             assert r.result == ref
             assert r.final_weight == ref_w
             assert r.passes == ref_passes
-            assert r.touched_rows == ref_touched
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 2, 5, 40])
@@ -505,12 +503,11 @@ def test_kopt_many_commits_per_block_match_reference(monkeypatch, rng, chunk):
         if chunk is not None:
             monkeypatch.setattr(localsearch, "_BATCH_ROWS", chunk * 6 ** (inst.s - 1) * 3)
         a = trivial(inst)
-        ref, ref_w, ref_passes, ref_touched = _reference_k_opt(inst, a, k, chunk=chunk)
+        ref, ref_w, ref_passes, _ = _reference_k_opt(inst, a, k, chunk=chunk)
         r = k_opt(inst, a, k)
         assert r.result == ref
         assert r.final_weight == ref_w
         assert r.passes == ref_passes
-        assert r.touched_rows == ref_touched
 
 
 def test_chained_3opt_makes_far_fewer_weight_calls_than_candidates(monkeypatch):
@@ -624,7 +621,6 @@ def _assert_same_report(r, ref):
     assert r.result == ref.result
     assert r.final_weight == ref.final_weight
     assert r.passes == ref.passes
-    assert r.touched_rows == ref.touched_rows
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 3])
