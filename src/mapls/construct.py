@@ -2,9 +2,11 @@
 
 Greedy and max-regret run the same rounds, each scanning the grid of
 vectors compatible with the current partial assignment in lexicographic
-order, in bounded numpy blocks so that even n^s in the hundreds of millions
+order, in bounded blocks so that even n^s in the hundreds of millions
 stays tractable. ROM's aggregates run on the same block scan, so no
-construction weighs more than BLOCK_ROWS vectors per call. Ties are always
+construction weighs more than BLOCK_ROWS vectors per call. A block is a
+product of per-dimension value sets, weighed as a grid by
+Instance.weight_grid; no coordinate block is built. Ties are always
 broken toward the lexicographically smallest vector, which keeps every
 heuristic deterministic.
 """
@@ -26,9 +28,11 @@ def trivial(inst: Instance) -> Assignment:
 
 def _iter_grid_blocks(sets: list[np.ndarray], limit: int = BLOCK_ROWS):
     """Yield (prefix, block) over the cartesian product of `sets` in
-    lexicographic order (dim 0 most significant). Each (B, s) block fixes the
-    leading dims to `prefix`, their positions in sets[:len(prefix)], and runs
-    the trailing dims over their whole product of at most `limit` rows."""
+    lexicographic order (dim 0 most significant). A block is itself a
+    product of value sets, weighed by Instance.weight_grid: the leading dims
+    fixed to `prefix`, their positions in sets[:len(prefix)], as one-element
+    slices, and the trailing dims over their whole sets, at most `limit`
+    vectors in all. No coordinate block is built."""
     s = len(sets)
     sizes = [len(x) for x in sets]
     split = s
@@ -36,13 +40,8 @@ def _iter_grid_blocks(sets: list[np.ndarray], limit: int = BLOCK_ROWS):
     while split > 0 and suffix * sizes[split - 1] <= limit:
         split -= 1
         suffix *= sizes[split]
-    block = np.empty((suffix, s), dtype=np.int64)
-    grid = block.reshape(*sizes[split:], s)
-    for j in range(split, s):
-        grid[..., j] = sets[j].reshape([-1 if i == j else 1 for i in range(split, s)])
     for prefix in np.ndindex(*sizes[:split]):
-        block[:, :split] = [x[p] for x, p in zip(sets, prefix)]
-        yield prefix, block
+        yield prefix, [x[p : p + 1] for x, p in zip(sets, prefix)] + sets[split:]
 
 
 def _min_compatible_vector(inst: Instance, sets: list[np.ndarray], floor: float):
@@ -51,11 +50,11 @@ def _min_compatible_vector(inst: Instance, sets: list[np.ndarray], floor: float)
     best_w = np.inf
     best = None
     for _, block in _iter_grid_blocks(sets):
-        w = inst.weight_batch(block)
+        w = inst.weight_grid(block)
         k = int(np.argmin(w))
-        if w[k] < best_w:
-            best_w = float(w[k])
-            best = block[k].copy()
+        if w.flat[k] < best_w:
+            best_w = float(w.flat[k])
+            best = np.array([x[i] for x, i in zip(block, np.unravel_index(k, w.shape))])
             if best_w <= floor:
                 break
     return best
@@ -104,7 +103,7 @@ def _max_regret_pick(inst: Instance, sets: list[np.ndarray]) -> np.ndarray:
     best = np.full((s, m, 2), np.inf)
     for prefix, block in _iter_grid_blocks(sets):
         k = len(prefix)
-        w = inst.weight_batch(block).reshape((m,) * (s - k))
+        w = inst.weight_grid(block).reshape((m,) * (s - k))
         for j in range(k, s):
             cand = np.moveaxis(w, j - k, 0).reshape(m, -1)
             cand = np.partition(cand, min(1, cand.shape[1] - 1), axis=1)[:, :2]
@@ -144,7 +143,7 @@ def _rom_aggregate(inst: Instance, perms: np.ndarray, level: int) -> np.ndarray:
         sets = [perms[m, r : r + 1] for m in range(level + 1)]
         sets += [np.arange(n)] * (s - level - 1)
         for prefix, block in _iter_grid_blocks(sets):
-            w = inst.weight_batch(block)
+            w = inst.weight_grid(block)
             if prefix:
                 agg[r, prefix[level + 1]] += w.sum()
             else:

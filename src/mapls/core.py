@@ -32,10 +32,24 @@ class Family(str, Enum):
     EXPLICIT = "explicit"
 
 
-def _round_half_up(x: np.ndarray) -> np.ndarray:
+def _round_half_up(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # nearest integer, .5 up; ties cannot occur for the sqrt/distance sums
     # produced by the generated families, so the direction is cosmetic
-    return np.floor(x + 0.5)
+    return np.floor(np.add(x, 0.5, out=out), out=out)
+
+
+def _along(x: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """View of the 1-D x along `axis` of an ndim-dimensional grid, with a
+    length-1 axis for every other dimension, for broadcasting."""
+    return x.reshape([-1 if d == axis else 1 for d in range(ndim)])
+
+
+def _spread(sets: list[np.ndarray]) -> tuple[list, list[int]]:
+    """Indexes into the grid of `sets` without its length-1 axes, and that
+    grid's shape: a one-element set's value, or the set along its own axis."""
+    shape = [len(x) for x in sets if len(x) != 1]
+    axes = iter(range(len(shape)))
+    return [x[0] if len(x) == 1 else _along(x, next(axes), len(shape)) for x in sets], shape
 
 
 # rows per block of a pairwise-table batch: bounds the (pairs, rows) index
@@ -53,6 +67,12 @@ class WeightModel:
 
     def batch(self, inst: "Instance", coords: np.ndarray) -> np.ndarray:
         """Weights of an (m, s) int array of vectors, as float64 (m,)."""
+        raise NotImplementedError
+
+    def grid(self, inst: "Instance", sets: list[np.ndarray]) -> np.ndarray:
+        """Weights of the product of s int64 value arrays, as a float64
+        array of shape (len(S_0), ..., len(S_{s-1})) in C order, each the
+        float `batch` gives the same vector."""
         raise NotImplementedError
 
     def min_weight_floor(self) -> float:
@@ -74,6 +94,17 @@ def _ranks(n: int, s: int, coords: np.ndarray) -> np.ndarray:
     The product runs on a uint64 view of the coordinates, so nothing is
     copied; it wraps mod 2^64, which is exact while n^s <= 2^64."""
     return coords.view(np.uint64) @ _rank_strides(n, s)
+
+
+def _rank_grid(n: int, sets: list[np.ndarray]) -> np.ndarray:
+    """Lexicographic ranks of the product of `sets`, a fresh uint64 grid in
+    C order. The per-dimension terms S_j * stride_j are added by outer sums,
+    which wrap mod 2^64 as the matmul in `_ranks` does: the same ranks."""
+    strides = _rank_strides(n, len(sets))
+    rank = sets[0].view(np.uint64) * strides[0]
+    for x, stride in zip(sets[1:], strides[1:]):
+        rank = np.add.outer(rank, x.view(np.uint64) * stride)
+    return rank
 
 
 class LazyRandom(WeightModel):
@@ -112,6 +143,9 @@ class LazyRandom(WeightModel):
     def batch(self, inst, coords):
         return self._rank_weights(inst, _ranks(inst.n, inst.s, coords))
 
+    def grid(self, inst, sets):
+        return self._rank_weights(inst, _rank_grid(inst.n, sets))
+
     def min_weight_floor(self):
         return float(self.a)
 
@@ -138,6 +172,13 @@ class Planted(LazyRandom):
         w[hit] = self.a
         return w
 
+    def grid(self, inst, sets):
+        rank = _rank_grid(inst.n, sets)
+        hit = rank == _along(self._planted_rank[sets[0]], 0, rank.ndim)
+        w = self._rank_weights(inst, rank)
+        w[hit] = self.a
+        return w
+
 
 class ExplicitTensor(WeightModel):
     """Dense weight tensor, flat in lexicographic order (dim 0 most significant)."""
@@ -159,6 +200,9 @@ class ExplicitTensor(WeightModel):
     def batch(self, inst, coords):
         return self.values[_ranks(inst.n, inst.s, coords)]
 
+    def grid(self, inst, sets):
+        return self.values[_rank_grid(inst.n, sets)]
+
     def min_weight_floor(self):
         return self._min
 
@@ -172,6 +216,8 @@ class CliqueSum(WeightModel):
     one flat index per (pair, row) over the transposed block, one `take`
     from the stack, and one sum over the pair axis, which adds the pairs in
     pair order as a running sum would, so every weight is the same float.
+    A grid adds one broadcast table slice per pair, in pair order, into its
+    output: the same sums in the same order.
     """
 
     family = Family.CLIQUE
@@ -212,6 +258,20 @@ class CliqueSum(WeightModel):
                 np.add.reduce(terms, axis=0, out=out[lo : lo + _PAIR_BLOCK])
         return out
 
+    def grid(self, inst, sets):
+        n = self.shape[1]
+        # the sum runs on the grid without the one-element sets' axes, each
+        # of those indexing by its value: indexing a table by two spread
+        # sets gives the pair's slice already broadcast to that grid
+        ix, shape = _spread(sets)
+        terms = (table[ix[i], ix[j]]
+                 for table, i, j in zip(self._stack.reshape(-1, n, n), self._first.tolist(), self._second.tolist()))
+        # the first two pairs added into the output, the rest in place
+        out = np.add(next(terms), next(terms), out=np.empty(shape))
+        for term in terms:
+            out += term
+        return out.reshape([len(x) for x in sets])
+
     def _floor_sum(self):
         return sum(self._stack.reshape(len(self._offsets), -1).min(axis=1))
 
@@ -235,6 +295,10 @@ class SquareRootSquares(CliqueSum):
 
     def batch(self, inst, coords):
         return _round_half_up(np.sqrt(self._pair_sum(coords)))
+
+    def grid(self, inst, sets):
+        w = super().grid(inst, sets)
+        return _round_half_up(np.sqrt(w, out=w), out=w)
 
     def min_weight_floor(self):
         return float(_round_half_up(np.sqrt(self._floor_sum())))
@@ -266,6 +330,10 @@ class GeometricPoints(CliqueSum):
     def batch(self, inst, coords):
         return _round_half_up(self._pair_sum(coords))
 
+    def grid(self, inst, sets):
+        w = super().grid(inst, sets)
+        return _round_half_up(w, out=w)
+
     def min_weight_floor(self):
         return float(_round_half_up(self._floor_sum()))
 
@@ -290,6 +358,12 @@ class ProductWeights(WeightModel):
         acc = self.factors[0][coords[:, 0]].copy()
         for j in range(1, inst.s):
             acc *= self.factors[j][coords[:, j]]
+        return acc
+
+    def grid(self, inst, sets):
+        acc = self.factors[0][sets[0]]
+        for f, x in zip(self.factors[1:], sets[1:]):
+            acc = np.multiply.outer(acc, f[x])
         return acc
 
     def min_weight_floor(self):
@@ -336,6 +410,16 @@ class Instance:
         results: a wrong weight, another vector's weight or an IndexError,
         depending on the family. Instance.weight checks the range."""
         return self.weights.batch(self, np.asarray(coords, dtype=np.int64))
+
+    def weight_grid(self, sets: Sequence[np.ndarray]) -> np.ndarray:
+        """Weights of the cartesian product of s value arrays S_0..S_{s-1},
+        as a float64 array of shape (len(S_0), ..., len(S_{s-1})) in C order
+        (dimension 0 most significant): entry (p_0, ..., p_{s-1}) is the
+        weight of the vector (S_0[p_0], ..., S_{s-1}[p_{s-1}]), the same
+        float weight_batch gives it. Every value must lie in [0, n); nothing
+        checks it, and other values give undefined results, as in
+        weight_batch."""
+        return self.weights.grid(self, [np.asarray(x, dtype=np.int64) for x in sets])
 
     def min_weight_floor(self) -> float:
         return self.weights.min_weight_floor()

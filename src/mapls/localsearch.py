@@ -290,9 +290,9 @@ def _sweep(inst, a, w_rows, subsets, examine, floor, fresh):
             block = block[fresh[block].any(axis=1)]
             if not len(block):
                 continue
-        w = _recombination_weights(inst, a, block)
+        w = _recombination_weights(inst, a, block, out=_workspace("w", (len(table) * k, len(block))))
         evals += w.size
-        totals = w.sum(axis=1)
+        totals = np.sum(w, axis=1, out=_workspace("totals", (len(table), len(block))))
         cand = np.flatnonzero(totals.min(axis=0) - w_rows[block].sum(axis=1) < -EPS)
         evals += len(cand) * len(table) * k
         weighed = np.full(len(cand), commits)  # commits so far when each column was weighed
@@ -325,37 +325,59 @@ def _sweep(inst, a, w_rows, subsets, examine, floor, fresh):
 def _cube_tables(s: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only gather tables for a k-subset's (k,)*s cube of candidate
     vectors, whose entry (i_0, ..., i_{s-1}) takes its dim-j coordinate
-    from row i_j. `coords` (k^s * s,): where each coordinate of the entries,
-    in C order, sits in the subset's row-major (k, s) block of vectors.
-    `index` (R*k,): the entries holding the rows of the recombinations in
-    `_recombinations(s, k)`, row m of recombination r being the entry
-    (m, table[r, 0, m], ..., table[r, s-2, m])."""
+    from row i_j. `picks` (s * k^s,): for dimension j and each entry in C
+    order, the row j*k + i_j of the subsets' (s*k, c) coordinates (dim j
+    of row i at row j*k + i). `index` (R*k,): the entries holding the rows
+    of the recombinations in `_recombinations(s, k)`, row m of
+    recombination r being the entry (m, table[r, 0, m], ...,
+    table[r, s-2, m])."""
     table = _recombinations(s, k)
-    rows = np.indices((k,) * s).reshape(s, -1).T  # (k^s, s): i_j of each entry
-    coords = (rows * s + np.arange(s)).ravel()
+    rows = np.indices((k,) * s).reshape(s, -1)  # (s, k^s): i_j of each entry
+    picks = (rows + k * np.arange(s)[:, None]).ravel()
     index = np.arange(k, dtype=np.int64)
     for j in range(s - 1):
         index = index * k + table[:, j]
     index = index.ravel()
-    coords.flags.writeable = index.flags.writeable = False
-    return coords, index
+    picks.flags.writeable = index.flags.writeable = False
+    return picks, index
 
 
-def _recombination_weights(inst, a, subsets) -> np.ndarray:
+# Flat buffers the k-opt screen reuses across blocks and calls, by name:
+# each grows to the largest request so far, bounded by the largest screen
+# block (_BATCH_ROWS cube vectors at most), so a screen block neither maps
+# nor faults fresh temporaries.
+_WORKSPACE: dict[str, np.ndarray] = {}
+
+
+def _workspace(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """A C-contiguous view of `shape` into the named buffer, whose contents
+    the next request by that name overwrites."""
+    size = int(np.prod(shape))
+    buf = _WORKSPACE.get(name)
+    if buf is None or len(buf) < size:
+        buf = _WORKSPACE[name] = np.empty(size, dtype=dtype)
+    return buf[:size].reshape(shape)
+
+
+def _recombination_weights(inst, a, subsets, out=None) -> np.ndarray:
     """(R, k, c) weights of every row of every recombination of each of the
-    c subsets of rows.
+    c subsets of rows, written into `out`, an (R*k, c) float array, if given.
 
     All those rows are drawn from k^s distinct vectors per subset, the
-    subset's cube (`_cube_tables`). The cube is weighed once and each
-    recombination's rows gathered from it, subset-minor: the sum over k then
-    runs over contiguous (R, c) planes. On numpy 2.4 it adds w0 + w1 (+ w2)
-    in that order, exactly as a sum over the last axis of the C-contiguous
-    (c, R, k) array does (the tests pin this)."""
+    subset's cube (`_cube_tables`). The cubes' coordinates are laid out
+    dimension-major and subset-minor in the `cube` workspace, weighed once,
+    and each recombination's rows gathered from the (k^s, c) weights: the
+    sum over k then runs over contiguous (R, c) planes. On numpy 2.4 it adds
+    w0 + w1 (+ w2) in that order, exactly as a sum over the last axis of the
+    C-contiguous (c, R, k) array does (the tests pin this). Every index is
+    in range, so the takes clip, which lets them write into `out` unbuffered."""
     s, (c, k) = inst.s, subsets.shape
-    coords, index = _cube_tables(s, k)
-    cube = np.take(a.perms.T[subsets].reshape(c, -1), coords, axis=1)  # (c, k^s * s)
-    w = inst.weight_batch(cube.reshape(-1, s)).reshape(c, -1)
-    return w.T[index].reshape(-1, k, c)
+    picks, index = _cube_tables(s, k)
+    vecs = np.take(a.perms, subsets.T, axis=1, out=_workspace("vecs", (s, k, c), np.int64), mode="clip")
+    cube = np.take(vecs.reshape(s * k, c), picks, axis=0, out=_workspace("cube", (s * k**s, c), np.int64),
+                   mode="clip")
+    w = inst.weight_batch(cube.reshape(s, -1).T).reshape(-1, c)  # (k^s, c)
+    return np.take(w, index, axis=0, out=out, mode="clip").reshape(-1, k, c)
 
 
 # -- v-opt ------------------------------------------------------------------

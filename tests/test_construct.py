@@ -352,16 +352,22 @@ def test_rom_matches_frozen_reference_on_non_integer_weights():
 @pytest.mark.parametrize("heuristic", [greedy, max_regret, rom])
 @pytest.mark.parametrize("name", ["3r8", "4c5", "5gp4", "6sr3"])
 def test_constructions_weigh_at_most_the_block_limit(heuristic, name, monkeypatch):
+    # every construction weighs its blocks as grids, one path: no vector list
     inst = generate(parse_instance_name(name, 1))
-    batch = Instance.weight_batch
+    grid = Instance.weight_grid
     for limit in (7, 50):
         rows = []
 
-        def counting(self, coords):
-            rows.append(len(coords))
-            return batch(self, coords)
+        def counting(self, sets):
+            w = grid(self, sets)
+            rows.append(int(np.prod(w.shape)))
+            return w
 
-        monkeypatch.setattr(Instance, "weight_batch", counting)
+        def refused(self, coords):
+            raise AssertionError("a construction called weight_batch")
+
+        monkeypatch.setattr(Instance, "weight_grid", counting)
+        monkeypatch.setattr(Instance, "weight_batch", refused)
         monkeypatch.setattr(construct._iter_grid_blocks, "__defaults__", (limit,))
         heuristic(inst)
         assert rows and max(rows) <= limit, limit

@@ -191,6 +191,80 @@ def test_signed_zero_entries_sum_to_zero():
         assert w.tobytes() == np.zeros(size).tobytes()
 
 
+def _product_list(sets):
+    """The product of `sets` as an (m, s) coordinate list, dimension 0 most
+    significant: the vectors a grid's C-order entries stand for."""
+    return np.stack(np.meshgrid(*sets, indexing="ij"), axis=-1).reshape(-1, len(sets))
+
+
+def _grid_cases(inst, rng):
+    """Value sets for one instance: a full grid, one value per dimension,
+    one-element leading sets before full ones, one one-element set in any
+    dimension, and unsorted subsets through a planted vector (the zero
+    vector off planted instances)."""
+    s, n = inst.s, inst.n
+    full = [np.arange(n)] * s
+    vec = inst.weights.planted.perms[:, n - 1] if inst.family == Family.PLANTED else full[0][[0] * s]
+    yield full
+    yield [np.array([v]) for v in vec]
+    for lead in range(1, s):
+        yield [np.array([v]) for v in vec[:lead]] + full[lead:]
+    for j in range(s):
+        yield full[:j] + [vec[j : j + 1]] + full[j + 1 :]
+    for _ in range(3):
+        yield [rng.permutation(np.union1d(rng.choice(n, size=rng.integers(1, n + 1), replace=False), v))
+               for v in vec]
+
+
+_GRID_SIZES = {3: 9, 4: 6, 5: 5, 6: 4, 7: 3, 8: 3}
+
+
+def _assert_grid_matches_batch(inst, sets):
+    got = inst.weight_grid(sets)
+    want = inst.weight_batch(_product_list(sets))
+    assert got.shape == tuple(len(x) for x in sets) and got.dtype == np.float64
+    assert np.array_equal(got.ravel(), want)
+    assert got.tobytes() == want.tobytes()  # signed zeros too
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tag", ["r", "gp", "c", "sr", "g", "p", "explicit"])
+@pytest.mark.parametrize("s", range(3, 9))
+def test_weight_grid_matches_weight_batch(tag, s):
+    n = _GRID_SIZES[s]
+    rng = np.random.default_rng([s, len(tag)])
+    if tag == "explicit":
+        inst = explicit_instance(s, n, rng.uniform(0.0, 1.0, size=n**s))
+    else:
+        inst = generate(parse_instance_name(f"{s}{tag}{n}", 1))
+    for sets in _grid_cases(inst, rng):
+        _assert_grid_matches_batch(inst, sets)
+    if tag == "g":
+        # the unrounded float distances: another summation order shows here
+        sums = Instance(s, n, Family.CLIQUE, 0, CliqueSum(s, inst.weights.mats))
+        for sets in _grid_cases(sums, rng):
+            _assert_grid_matches_batch(sums, sets)
+    if tag == "gp":
+        # every planted vector lies in the full grid at the planted weight
+        w = inst.weight_grid([np.arange(n)] * s)
+        assert (w[tuple(inst.weights.planted.perms)] == inst.weights.a).all()
+
+
+@pytest.mark.parametrize("cls", [CliqueSum, SquareRootSquares])
+def test_weight_grid_signed_zero_tables(cls):
+    # -0.0 table entries weigh +0.0 on a grid, as in a batch
+    rng = np.random.default_rng(5)
+    for s, n in ((3, 2), (5, 3)):
+        inst = Instance(s, n, cls.family, 0, cls(s, _pair_mats(s, n, -0.0)))
+        for sets in _grid_cases(inst, rng):
+            _assert_grid_matches_batch(inst, sets)
+            assert inst.weight_grid(sets).tobytes() == np.zeros(np.prod([len(x) for x in sets])).tobytes()
+    values = np.where(rng.random(3**4) < 0.5, -0.0, rng.random(3**4))
+    inst = explicit_instance(4, 3, values)
+    for sets in _grid_cases(inst, rng):
+        _assert_grid_matches_batch(inst, sets)
+
+
 def _geometric_points(s, n):
     return [np.arange(2.0 * n).reshape(n, 2) for _ in range(s)]
 

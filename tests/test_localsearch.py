@@ -510,6 +510,26 @@ def test_kopt_many_commits_per_block_match_reference(monkeypatch, rng, chunk):
         assert r.passes == ref_passes
 
 
+def test_kopt_workspace_interleaved_across_shapes():
+    # the screen keeps its buffers across blocks, calls and shapes: calls on
+    # other (s, n, k) in between change no result. From the trivial
+    # assignment most candidates of a block go stale, so re-weighs run while
+    # the block's weights sit in the workspace.
+    reused = None
+    for name, k in (("8c4", 2), ("3c50", 3), ("4c15", 2), ("3c50", 3), ("8c4", 2)):
+        inst = generate(parse_instance_name(name, 1))
+        for a in (trivial(inst), greedy(inst)):
+            ref, ref_w, ref_passes, _ = _reference_k_opt(inst, a, k)
+            r = k_opt(inst, a, k)
+            assert r.result == ref, name
+            assert r.final_weight == ref_w, name
+            assert r.passes == ref_passes, name
+        if name == "3c50":
+            if reused is None:
+                reused = localsearch._WORKSPACE["w"]
+            assert localsearch._WORKSPACE["w"] is reused
+
+
 def test_chained_3opt_makes_far_fewer_weight_calls_than_candidates(monkeypatch):
     # the frozen reference re-verifies each screened candidate in a weight call
     # of its own; the sweep decides a candidate untouched since its screen from
