@@ -1,9 +1,17 @@
 """Core domain types for the axial multidimensional assignment problem.
 
-An instance couples a dimension count s, a side length n and a weight model
-assigning a non-negative weight to every vector of the grid {0..n-1}^s.
-An assignment picks n pairwise-disjoint vectors, held in permutation form
-with the first permutation frozen to the identity.
+A weight model assigns a non-negative weight to every vector of the grid
+{0..n-1}^s and knows its family and its (s, n); an instance couples one
+model with the seed it was built from, and reads s, n and the family from
+the model. An assignment picks n pairwise-disjoint vectors, held in
+permutation form with the first permutation frozen to the identity.
+
+Each weight kernel is written once. The pair-table families (clique,
+square-root, geometric) share one batch and one grid path over stacked
+n x n tables, each family ending in its own `_finish` step; the rank
+families (random, planted, explicit) share one batch and one grid path
+over lexicographic ranks, each family ending in its own `_weigh_ranks`
+step; product weights multiply one factor per dimension.
 
 Coordinates are 0-based everywhere in code; the text file formats speak
 1-based (see files.py).
@@ -13,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -32,10 +39,11 @@ class Family(str, Enum):
     EXPLICIT = "explicit"
 
 
-def _round_half_up(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # nearest integer, .5 up; ties cannot occur for the sqrt/distance sums
-    # produced by the generated families, so the direction is cosmetic
-    return np.floor(np.add(x, 0.5, out=out), out=out)
+def _round_half_up(x: np.ndarray) -> np.ndarray:
+    # nearest integer, .5 up, in x's buffer; ties cannot occur for the
+    # sqrt/distance sums produced by the generated families, so the
+    # direction is cosmetic
+    return np.floor(np.add(x, 0.5, out=x), out=x)
 
 
 def _along(x: np.ndarray, axis: int, ndim: int) -> np.ndarray:
@@ -60,10 +68,10 @@ _PAIR_BLOCK = 1 << 14
 class WeightModel:
     """Weight function over the vector grid. Immutable after construction."""
 
-    # the family the model's weights belong to; an Instance must name it
+    # the family the model's weights belong to
     family: Family
-    # the (s, n) grid the model was built for; None if it weighs any grid
-    shape: tuple[int, int] | None = None
+    # the (s, n) of the grid {0..n-1}^s the model weighs
+    shape: tuple[int, int]
 
     def batch(self, inst: "Instance", coords: np.ndarray) -> np.ndarray:
         """Weights of an (m, s) int array of vectors, as float64 (m,)."""
@@ -80,34 +88,42 @@ class WeightModel:
         raise NotImplementedError
 
 
-@lru_cache(maxsize=64)
-def _rank_strides(n: int, s: int) -> np.ndarray:
-    """uint64 place values of the lexicographic rank on the grid {0..n-1}^s
-    (dimension 0 most significant); read-only, built once per (n, s)."""
-    strides = n ** np.arange(s - 1, -1, -1, dtype=np.uint64)
-    strides.flags.writeable = False
-    return strides
+class _RankWeights(WeightModel):
+    """Weights keyed by each vector's lexicographic rank on {0..n-1}^s
+    (dimension 0 most significant), as a uint64.
+
+    A batch ranks its (m, s) coordinates by one product with the place
+    values, run on a uint64 view of them, so nothing is copied. A grid adds
+    the per-dimension terms S_j * stride_j by outer sums into a rank grid in
+    C order. Both wrap mod 2^64 alike, so they give the same ranks, exact
+    while n^s <= 2^64. Each hands its fresh rank array, with a view of the
+    vectors' dimension-0 values that broadcasts against it, to the model's
+    `_weigh_ranks`.
+    """
+
+    def __init__(self, s: int, n: int):
+        self.shape = (s, n)
+        self._strides = n ** np.arange(s - 1, -1, -1, dtype=np.uint64)
+
+    def _ranks(self, coords: np.ndarray) -> np.ndarray:
+        return coords.view(np.uint64) @ self._strides
+
+    def _weigh_ranks(self, inst: "Instance", rank: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Weights of the vectors with the given ranks and dimension-0
+        values `rows`; the rank buffer may be overwritten."""
+        raise NotImplementedError
+
+    def batch(self, inst, coords):
+        return self._weigh_ranks(inst, self._ranks(coords), coords[:, 0])
+
+    def grid(self, inst, sets):
+        rank = sets[0].view(np.uint64) * self._strides[0]
+        for x, stride in zip(sets[1:], self._strides[1:]):
+            rank = np.add.outer(rank, x.view(np.uint64) * stride)
+        return self._weigh_ranks(inst, rank, _along(sets[0], 0, rank.ndim))
 
 
-def _ranks(n: int, s: int, coords: np.ndarray) -> np.ndarray:
-    """Lexicographic ranks of an (m, s) int64 array, a fresh uint64 array.
-    The product runs on a uint64 view of the coordinates, so nothing is
-    copied; it wraps mod 2^64, which is exact while n^s <= 2^64."""
-    return coords.view(np.uint64) @ _rank_strides(n, s)
-
-
-def _rank_grid(n: int, sets: list[np.ndarray]) -> np.ndarray:
-    """Lexicographic ranks of the product of `sets`, a fresh uint64 grid in
-    C order. The per-dimension terms S_j * stride_j are added by outer sums,
-    which wrap mod 2^64 as the matmul in `_ranks` does: the same ranks."""
-    strides = _rank_strides(n, len(sets))
-    rank = sets[0].view(np.uint64) * strides[0]
-    for x, stride in zip(sets[1:], strides[1:]):
-        rank = np.add.outer(rank, x.view(np.uint64) * stride)
-    return rank
-
-
-class LazyRandom(WeightModel):
+class LazyRandom(_RankWeights):
     """Uniform integer weights in [a, b-1], computed on demand.
 
     weight(e) = a + mix64(mix64(seed) + rank(e)) mod (b - a), with rank the
@@ -120,18 +136,21 @@ class LazyRandom(WeightModel):
 
     family = Family.RANDOM
 
-    def __init__(self, a: int, b: int):
+    def __init__(self, s: int, n: int, a: int, b: int):
         if not a < b:
             raise ValueError(f"LazyRandom requires a < b, got a={a} b={b}")
         if a < 0:
             raise ValueError("weights must be non-negative, need a >= 0")
+        if n**s > 2**64:
+            # the uint64 rank would wrap and alias weights
+            raise ValueError(f"random weights need n^s <= 2^64, got n={n} s={s}")
+        super().__init__(s, n)
         self.a = int(a)
         self.b = int(b)
         self._span, self._base = np.uint64(self.b - self.a), np.float64(self.a)
 
-    def _rank_weights(self, inst: "Instance", rank: np.ndarray) -> np.ndarray:
-        """Weights of the vectors with the given ranks, computed in the
-        rank array's own buffer, which is overwritten."""
+    def _weigh_ranks(self, inst, rank, rows):
+        # computed in the rank array's own buffer
         rank += np.uint64(mix64(inst.seed))
         z = mix64_array(rank)
         np.remainder(z, self._span, out=z)
@@ -139,12 +158,6 @@ class LazyRandom(WeightModel):
         w[...] = z
         w += self._base
         return w
-
-    def batch(self, inst, coords):
-        return self._rank_weights(inst, _ranks(inst.n, inst.s, coords))
-
-    def grid(self, inst, sets):
-        return self._rank_weights(inst, _rank_grid(inst.n, sets))
 
     def min_weight_floor(self):
         return float(self.a)
@@ -160,27 +173,18 @@ class Planted(LazyRandom):
     family = Family.PLANTED
 
     def __init__(self, a: int, b: int, planted: "Assignment"):
-        super().__init__(a, b)
+        super().__init__(planted.s, planted.n, a, b)
         self.planted = planted
-        self.shape = (planted.s, planted.n)
-        self._planted_rank = _ranks(planted.n, planted.s, planted.perms.T)
+        self._planted_rank = self._ranks(planted.perms.T)
 
-    def batch(self, inst, coords):
-        rank = _ranks(inst.n, inst.s, coords)
-        hit = rank == self._planted_rank[coords[:, 0]]
-        w = self._rank_weights(inst, rank)
-        w[hit] = self.a
-        return w
-
-    def grid(self, inst, sets):
-        rank = _rank_grid(inst.n, sets)
-        hit = rank == _along(self._planted_rank[sets[0]], 0, rank.ndim)
-        w = self._rank_weights(inst, rank)
+    def _weigh_ranks(self, inst, rank, rows):
+        hit = rank == self._planted_rank[rows]
+        w = super()._weigh_ranks(inst, rank, rows)
         w[hit] = self.a
         return w
 
 
-class ExplicitTensor(WeightModel):
+class ExplicitTensor(_RankWeights):
     """Dense weight tensor, flat in lexicographic order (dim 0 most significant)."""
 
     family = Family.EXPLICIT
@@ -193,15 +197,12 @@ class ExplicitTensor(WeightModel):
             raise ValueError("weights must be finite")
         if (vals < 0).any():
             raise ValueError("weights must be non-negative")
+        super().__init__(s, n)
         self.values = vals
-        self.shape = (s, n)
         self._min = float(vals.min()) if len(vals) else 0.0
 
-    def batch(self, inst, coords):
-        return self.values[_ranks(inst.n, inst.s, coords)]
-
-    def grid(self, inst, sets):
-        return self.values[_rank_grid(inst.n, sets)]
+    def _weigh_ranks(self, inst, rank, rows):
+        return self.values[rank]
 
     def min_weight_floor(self):
         return self._min
@@ -212,12 +213,14 @@ class CliqueSum(WeightModel):
 
     The n x n table of each pair i < j is stacked once, in pair order, into
     one flat array; the other pairwise families stack their own precomputed
-    tables the same way. A batch is weighed in blocks of `_PAIR_BLOCK` rows:
-    one flat index per (pair, row) over the transposed block, one `take`
-    from the stack, and one sum over the pair axis, which adds the pairs in
-    pair order as a running sum would, so every weight is the same float.
-    A grid adds one broadcast table slice per pair, in pair order, into its
-    output: the same sums in the same order.
+    tables the same way and share this class's batch, grid and floor, each
+    of which ends in the family's `_finish` step. A batch is weighed in
+    blocks of `_PAIR_BLOCK` rows: one flat index per (pair, row) over the
+    transposed block, one `take` from the stack, and one sum over the pair
+    axis, which adds the pairs in pair order as a running sum would, so
+    every weight is the same float. A grid adds one broadcast table slice
+    per pair, in pair order, into its output: the same sums in the same
+    order.
     """
 
     family = Family.CLIQUE
@@ -242,7 +245,12 @@ class CliqueSum(WeightModel):
         # sum gives, so the in-order sum of a lone row cannot end on -0.0
         self._stack = np.concatenate([d.ravel() for d in self.mats.values()]) + 0.0
 
-    def _pair_sum(self, coords: np.ndarray) -> np.ndarray:
+    def _finish(self, w: np.ndarray) -> np.ndarray:
+        """The weights of vectors whose pair-table sums are w, computed in
+        w's buffer: the sums themselves for a clique sum."""
+        return w
+
+    def batch(self, inst, coords):
         out = np.empty(len(coords), dtype=np.float64)
         cols, n = coords.T, self.shape[1]
         for lo in range(0, len(coords), _PAIR_BLOCK):
@@ -256,7 +264,7 @@ class CliqueSum(WeightModel):
                 out[lo] = np.cumsum(terms[:, 0])[-1]
             else:
                 np.add.reduce(terms, axis=0, out=out[lo : lo + _PAIR_BLOCK])
-        return out
+        return self._finish(out)
 
     def grid(self, inst, sets):
         n = self.shape[1]
@@ -270,16 +278,12 @@ class CliqueSum(WeightModel):
         out = np.add(next(terms), next(terms), out=np.empty(shape))
         for term in terms:
             out += term
-        return out.reshape([len(x) for x in sets])
-
-    def _floor_sum(self):
-        return sum(self._stack.reshape(len(self._offsets), -1).min(axis=1))
-
-    def batch(self, inst, coords):
-        return self._pair_sum(coords)
+        return self._finish(out.reshape([len(x) for x in sets]))
 
     def min_weight_floor(self):
-        return float(self._floor_sum())
+        # the sum of the tables' minima, in pair order, in a 0-d buffer
+        floor = np.array(sum(self._stack.reshape(len(self._offsets), -1).min(axis=1)))
+        return float(self._finish(floor))
 
 
 class SquareRootSquares(CliqueSum):
@@ -293,15 +297,8 @@ class SquareRootSquares(CliqueSum):
         super().__init__(s, mats)
         self._stack = self._stack**2
 
-    def batch(self, inst, coords):
-        return _round_half_up(np.sqrt(self._pair_sum(coords)))
-
-    def grid(self, inst, sets):
-        w = super().grid(inst, sets)
-        return _round_half_up(np.sqrt(w, out=w), out=w)
-
-    def min_weight_floor(self):
-        return float(_round_half_up(np.sqrt(self._floor_sum())))
+    def _finish(self, w):
+        return _round_half_up(np.sqrt(w, out=w))
 
 
 class GeometricPoints(CliqueSum):
@@ -327,15 +324,8 @@ class GeometricPoints(CliqueSum):
         }
         super().__init__(len(self.points), dists)
 
-    def batch(self, inst, coords):
-        return _round_half_up(self._pair_sum(coords))
-
-    def grid(self, inst, sets):
-        w = super().grid(inst, sets)
-        return _round_half_up(w, out=w)
-
-    def min_weight_floor(self):
-        return float(_round_half_up(self._floor_sum()))
+    def _finish(self, w):
+        return _round_half_up(w)
 
 
 class ProductWeights(WeightModel):
@@ -375,25 +365,26 @@ class ProductWeights(WeightModel):
 
 @dataclass(frozen=True)
 class Instance:
-    """One problem instance: s >= 3 dimensions, side length n, weight model."""
+    """One problem instance: a weight model and the seed it was built from.
+    s (>= 3), n (>= 1) and family are read from the model and kept as plain
+    attributes, so an instance cannot disagree with its weights."""
 
-    s: int
-    n: int
-    family: Family
-    seed: int
     weights: WeightModel = field(repr=False)
+    seed: int
+    s: int = field(init=False)
+    n: int = field(init=False)
+    family: Family = field(init=False)
 
     def __post_init__(self):
-        if self.s < 3:
-            raise ValueError(f"s must be >= 3, got {self.s}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.weights.family != self.family:
-            raise ValueError(f"{type(self.weights).__name__} weights are of family "
-                             f"{self.weights.family.value}, not {Family(self.family).value}")
-        shape = self.weights.shape
-        if shape is not None and shape != (self.s, self.n):
-            raise ValueError(f"weight model is for (s, n) = {shape}, not ({self.s}, {self.n})")
+        s, n = self.weights.shape
+        if s < 3:
+            raise ValueError(f"s must be >= 3, got {s}")
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        # set once here, as the class is frozen
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "family", self.weights.family)
 
     def weight(self, e: Sequence[int]) -> float:
         """Weight of a single vector; validates coordinate ranges."""
@@ -454,13 +445,6 @@ class Assignment:
     @property
     def n(self) -> int:
         return self.perms.shape[1]
-
-    def vectors(self) -> np.ndarray:
-        """(n, s) array with one vector per row."""
-        return self.perms.T.copy()
-
-    def vector(self, i: int) -> np.ndarray:
-        return self.perms[:, i].copy()
 
     def copy(self) -> "Assignment":
         return Assignment(self.perms.copy())

@@ -92,7 +92,7 @@ def load_instance(path) -> Instance:
     if family == Family.EXPLICIT:
         tokens = rest.split()
         values = np.asarray([float(t) for t in tokens], dtype=np.float64)
-        return Instance(s, n, family, seed, ExplicitTensor(s, n, values))
+        return Instance(ExplicitTensor(s, n, values), seed)
 
     _, sentinel, data = rest.partition("DATA")
     if not sentinel:
@@ -110,19 +110,19 @@ def load_instance(path) -> Instance:
             mats[pair] = np.asarray(tokens[pos : pos + n * n]).reshape(n, n)
             pos += n * n
         cls = CliqueSum if family == Family.CLIQUE else SquareRootSquares
-        return Instance(s, n, family, seed, cls(s, mats))
+        return Instance(cls(s, mats), seed)
 
     if family == Family.PRODUCT:
         if len(tokens) != s * n:
             raise ValueError(f"{path}: expected {s * n} factor entries, got {len(tokens)}")
         factors = [np.asarray(tokens[j * n : (j + 1) * n]) for j in range(s)]
-        return Instance(s, n, family, seed, ProductWeights(factors))
+        return Instance(ProductWeights(factors), seed)
 
     if family == Family.GEOMETRIC:
         if len(tokens) != s * n * 2:
             raise ValueError(f"{path}: expected {s * n * 2} coordinates, got {len(tokens)}")
         pts = [np.asarray(tokens[j * 2 * n : (j + 1) * 2 * n]).reshape(n, 2) for j in range(s)]
-        return Instance(s, n, family, seed, GeometricPoints(pts))
+        return Instance(GeometricPoints(pts), seed)
 
     raise ValueError(f"{path}: unsupported family {family.value}")
 

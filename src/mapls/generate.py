@@ -111,38 +111,32 @@ def generate(spec: FamilySpec) -> Instance:
 
 def build_generated_instance(family: Family, s: int, n: int, seed: int) -> Instance:
     """Build a generated-family instance straight from its seed."""
-    if family in (Family.RANDOM, Family.PLANTED) and n**s > 2**64:
-        # LazyRandom keys weights by a uint64 rank, which would wrap and alias
-        raise ValueError(f"random weights need n^s <= 2^64, got n={n} s={s}")
     stream = SplitMix64(seed)
 
     if family == Family.RANDOM:
-        return Instance(s, n, family, seed, LazyRandom(*RANDOM_RANGE))
-
-    if family == Family.PLANTED:
+        weights = LazyRandom(s, n, *RANDOM_RANGE)
+    elif family == Family.PLANTED:
         perms = np.empty((s, n), dtype=np.int64)
         perms[0] = np.arange(n)
         for j in range(1, s):
             perms[j] = stream.permutation(n)
-        return Instance(s, n, family, seed, Planted(*RANDOM_RANGE, Assignment(perms)))
-
-    if family in (Family.CLIQUE, Family.SQUAREROOT):
+        weights = Planted(*RANDOM_RANGE, Assignment(perms))
+    elif family in (Family.CLIQUE, Family.SQUAREROOT):
         mats = _draw_pair_matrices(stream, s, n, *EDGE_RANGE)
         cls = CliqueSum if family == Family.CLIQUE else SquareRootSquares
-        return Instance(s, n, family, seed, cls(s, mats))
-
-    if family == Family.GEOMETRIC:
+        weights = cls(s, mats)
+    elif family == Family.GEOMETRIC:
         points = [
             stream.randint_block(*COORD_RANGE, 2 * n).reshape(n, 2).astype(np.float64)
             for _ in range(s)
         ]
-        return Instance(s, n, family, seed, GeometricPoints(points))
-
-    if family == Family.PRODUCT:
+        weights = GeometricPoints(points)
+    elif family == Family.PRODUCT:
         factors = [stream.randint_block(*FACTOR_RANGE, n).astype(np.float64) for _ in range(s)]
-        return Instance(s, n, family, seed, ProductWeights(factors))
-
-    raise ValueError(f"unsupported family for generation: {family}")
+        weights = ProductWeights(factors)
+    else:
+        raise ValueError(f"unsupported family for generation: {family}")
+    return Instance(weights, seed)
 
 
 def known_optimum(inst: Instance) -> float | None:

@@ -61,7 +61,6 @@ class DimensionSubsetFamily:
     """Ordered dimension subsets swept by a dimensionwise heuristic."""
 
     variant: str
-    s: int
     sets: list[tuple[int, ...]]
 
     def __len__(self):
@@ -98,7 +97,7 @@ def build_family(variant: str, s: int) -> DimensionSubsetFamily:
                 sets.extend(combinations(range(1, s), size))
             else:
                 sets.extend(combinations(range(s), size))
-    return DimensionSubsetFamily(variant, s, sets)
+    return DimensionSubsetFamily(variant, sets)
 
 
 @dataclass

@@ -52,7 +52,6 @@ class MetaResult:
     ls_calls: int
     iterations: int  # chain iterations / completed multichain generations
     elapsed: float
-    no_generation_completed: bool = False
     # a time-budgeted run returned early, its best weight at the bound n*floor
     stopped_at_bound: bool = False
 
@@ -125,7 +124,7 @@ def multichain(inst: Instance, a0: Assignment, ls, cfg: MetaConfig) -> MetaResul
 
     A generation cut short by the budget is discarded; if even the first
     (seeding) generation cannot finish, the start assignment is returned
-    with no_generation_completed set.
+    with iterations = 0.
     """
     if cfg.kind != "multichain":
         raise ValueError("config kind must be 'multichain'")
@@ -139,10 +138,7 @@ def multichain(inst: Instance, a0: Assignment, ls, cfg: MetaConfig) -> MetaResul
     seq = 0
     for _ in range(c * (c + 1) // 2):
         if budget.exhausted():
-            return MetaResult(
-                best, best_w, budget.calls, 0,
-                time.perf_counter() - budget.t0, no_generation_completed=True,
-            )
+            return MetaResult(best, best_w, budget.calls, 0, time.perf_counter() - budget.t0)
         r = budget.run(ls, inst, perturb(best, rng))
         population.append((r.final_weight, seq, r.result))
         seq += 1

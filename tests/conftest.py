@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mapls import Assignment, ExplicitTensor, Family, Instance
+from mapls import Assignment, ExplicitTensor, Instance
 
 
 def explicit_instance(s: int, n: int, values) -> Instance:
-    return Instance(s, n, Family.EXPLICIT, 0, ExplicitTensor(s, n, values))
+    return Instance(ExplicitTensor(s, n, values), 0)
 
 
 def random_explicit(s: int, n: int, rng, lo=0, hi=60) -> Instance:

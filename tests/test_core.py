@@ -31,8 +31,8 @@ from mapls.rng import mix64, mix64_array
 from conftest import explicit_instance, from_perm_rows, swap_vectors
 
 
-def clique_instance(s, n, mats):
-    return Instance(s, n, Family.CLIQUE, 0, CliqueSum(s, mats))
+def clique_instance(s, mats):
+    return Instance(CliqueSum(s, mats), 0)
 
 
 def test_cliquesum_single_entries():
@@ -41,27 +41,25 @@ def test_cliquesum_single_entries():
         (0, 2): np.full((1, 1), 7.0),
         (1, 2): np.full((1, 1), 11.0),
     }
-    inst = clique_instance(3, 1, mats)
+    inst = clique_instance(3, mats)
     assert inst.weight((0, 0, 0)) == 23.0
 
 
 def test_squareroot_rounds_to_nearest():
     mats = {pair: np.full((1, 1), 3.0) for pair in [(0, 1), (0, 2), (1, 2)]}
-    inst = Instance(3, 1, Family.SQUAREROOT, 0, SquareRootSquares(3, mats))
+    inst = Instance(SquareRootSquares(3, mats), 0)
     # sqrt(9 + 9 + 9) = 5.196... -> 5
     assert inst.weight((0, 0, 0)) == 5.0
 
 
 def test_product_weight():
-    inst = Instance(
-        3, 1, Family.PRODUCT, 0, ProductWeights([np.array([2.0]), np.array([3.0]), np.array([5.0])])
-    )
+    inst = Instance(ProductWeights([np.array([2.0]), np.array([3.0]), np.array([5.0])]), 0)
     assert inst.weight((0, 0, 0)) == 30.0
 
 
 def test_geometric_zero_distance():
     pts = np.array([[4.0, 9.0], [4.0, 9.0]])
-    inst = Instance(3, 2, Family.GEOMETRIC, 0, GeometricPoints([pts, pts, pts]))
+    inst = Instance(GeometricPoints([pts, pts, pts]), 0)
     assert inst.weight((0, 1, 0)) == 0.0
 
 
@@ -165,7 +163,7 @@ def test_pair_sum_keeps_pair_order(s, n):
     # float geometric distances, unrounded: a change of summation order shows
     # in the last bit, which the rounded g/sr weights would hide
     mats = generate(parse_instance_name(f"{s}g{n}", 1)).weights.mats
-    inst = Instance(s, n, Family.CLIQUE, 0, CliqueSum(s, mats))
+    inst = Instance(CliqueSum(s, mats), 0)
     rng = np.random.default_rng(s)
     block = core._PAIR_BLOCK
     for size in (0, 1, 2, 3, block - 1, block, block + 1, 2 * block + 1):
@@ -185,7 +183,7 @@ def test_pair_sum_keeps_pair_order(s, n):
 
 def test_signed_zero_entries_sum_to_zero():
     # the running sum starts from +0.0, so all -0.0 terms still add to +0.0
-    inst = clique_instance(3, 2, _pair_mats(3, 2, -0.0))
+    inst = clique_instance(3, _pair_mats(3, 2, -0.0))
     for size in (1, 2):
         w = inst.weight_batch(np.zeros((size, 3), dtype=np.int64))
         assert w.tobytes() == np.zeros(size).tobytes()
@@ -241,7 +239,7 @@ def test_weight_grid_matches_weight_batch(tag, s):
         _assert_grid_matches_batch(inst, sets)
     if tag == "g":
         # the unrounded float distances: another summation order shows here
-        sums = Instance(s, n, Family.CLIQUE, 0, CliqueSum(s, inst.weights.mats))
+        sums = Instance(CliqueSum(s, inst.weights.mats), 0)
         for sets in _grid_cases(sums, rng):
             _assert_grid_matches_batch(sums, sets)
     if tag == "gp":
@@ -255,7 +253,7 @@ def test_weight_grid_signed_zero_tables(cls):
     # -0.0 table entries weigh +0.0 on a grid, as in a batch
     rng = np.random.default_rng(5)
     for s, n in ((3, 2), (5, 3)):
-        inst = Instance(s, n, cls.family, 0, cls(s, _pair_mats(s, n, -0.0)))
+        inst = Instance(cls(s, _pair_mats(s, n, -0.0)), 0)
         for sets in _grid_cases(inst, rng):
             _assert_grid_matches_batch(inst, sets)
             assert inst.weight_grid(sets).tobytes() == np.zeros(np.prod([len(x) for x in sets])).tobytes()
@@ -265,76 +263,40 @@ def test_weight_grid_signed_zero_tables(cls):
         _assert_grid_matches_batch(inst, sets)
 
 
-def _geometric_points(s, n):
-    return [np.arange(2.0 * n).reshape(n, 2) for _ in range(s)]
-
-
-def test_instance_rejects_pair_tables_of_another_size():
-    # n = 3 over 4 x 4 tables would read a sub-block of each table
-    with pytest.raises(ValueError):
-        clique_instance(3, 3, _pair_mats(3, 4))
-    with pytest.raises(ValueError):
-        Instance(3, 3, Family.SQUAREROOT, 0, SquareRootSquares(3, _pair_mats(3, 4)))
-
-
-def test_instance_rejects_pair_tables_for_other_dimensions():
-    # s = 4 over an s = 3 model would leave dimension 3 out of every weight
-    with pytest.raises(ValueError):
-        Instance(4, 2, Family.CLIQUE, 0, CliqueSum(3, _pair_mats(3, 2)))
-    with pytest.raises(ValueError):
-        Instance(3, 2, Family.CLIQUE, 0, CliqueSum(4, _pair_mats(4, 2)))
-    with pytest.raises(ValueError):
-        Instance(4, 2, Family.GEOMETRIC, 0, GeometricPoints(_geometric_points(3, 2)))
-
-
-def test_instance_rejects_point_count_other_than_n():
-    with pytest.raises(ValueError):
-        Instance(3, 2, Family.GEOMETRIC, 0, GeometricPoints(_geometric_points(3, 3)))
-    with pytest.raises(ValueError):
-        Instance(3, 4, Family.GEOMETRIC, 0, GeometricPoints(_geometric_points(3, 3)))
-
-
-def test_instance_rejects_factor_count_other_than_s():
-    factors = [np.array([1.0, 2.0])] * 3
-    with pytest.raises(ValueError):
-        Instance(4, 2, Family.PRODUCT, 0, ProductWeights(factors))
-    with pytest.raises(ValueError):
-        Instance(3, 2, Family.PRODUCT, 0, ProductWeights(factors * 2))
+def test_instance_reads_shape_and_family_from_model():
+    # 64 values would fit both 4^3 and 2^6: the tensor's own (s, n) decides
+    planted = Assignment.identity(3, 6)
+    points = [np.arange(6.0).reshape(3, 2)] * 4
+    for model, s, n, family in (
+        (CliqueSum(3, _pair_mats(3, 4)), 3, 4, Family.CLIQUE),
+        (SquareRootSquares(4, _pair_mats(4, 2)), 4, 2, Family.SQUAREROOT),
+        (GeometricPoints(points), 4, 3, Family.GEOMETRIC),
+        (ProductWeights([np.array([1.0, 2.0])] * 6), 6, 2, Family.PRODUCT),
+        (ExplicitTensor(3, 4, np.arange(64.0)), 3, 4, Family.EXPLICIT),
+        (LazyRandom(5, 7, 1, 101), 5, 7, Family.RANDOM),
+        (Planted(1, 101, planted), 3, 6, Family.PLANTED),
+    ):
+        inst = Instance(model, 1)
+        assert (inst.s, inst.n, inst.family, inst.seed) == (s, n, family, 1)
 
 
 def test_instance_rejects_factor_lengths_other_than_n():
-    with pytest.raises(ValueError):
-        Instance(3, 2, Family.PRODUCT, 0, ProductWeights([np.ones(3)] * 3))
+    # n is the factors' common length, so factors of unequal length, which
+    # name no single n, are refused before an instance is built
     with pytest.raises(ValueError):
         ProductWeights([np.ones(2), np.ones(3), np.ones(2)])
-
-
-def test_instance_rejects_explicit_tensor_of_another_shape():
-    # n = 2 over a 3 x 3 x 3 tensor would read entry 7 for vector (1, 1, 1)
     with pytest.raises(ValueError):
-        Instance(3, 2, Family.EXPLICIT, 0, ExplicitTensor(3, 3, np.arange(27.0)))
-    # 64 values fit both 4^3 and 2^6
-    with pytest.raises(ValueError):
-        Instance(6, 2, Family.EXPLICIT, 0, ExplicitTensor(3, 4, np.arange(64.0)))
+        ProductWeights([np.ones(3), np.ones(3), np.ones(2)])
+    assert Instance(ProductWeights([np.ones(3)] * 3), 0).n == 3
 
 
-def test_instance_rejects_planted_assignment_of_another_shape():
-    with pytest.raises(ValueError):
-        Instance(3, 5, Family.PLANTED, 1, Planted(1, 101, Assignment.identity(3, 6)))
-    with pytest.raises(ValueError):
-        Instance(4, 6, Family.PLANTED, 1, Planted(1, 101, Assignment.identity(3, 6)))
-
-
-def test_instance_rejects_family_other_than_its_weights():
-    # a random header over explicit weights would reload as random weights,
-    # and a clique header would make dump_instance look for pair tables
-    for family in (Family.RANDOM, Family.CLIQUE):
-        with pytest.raises(ValueError, match="ExplicitTensor weights are of family explicit"):
-            Instance(3, 2, family, 0, ExplicitTensor(3, 2, np.arange(8.0)))
-    with pytest.raises(ValueError, match="family clique, not squareroot"):
-        Instance(3, 2, Family.SQUAREROOT, 0, CliqueSum(3, _pair_mats(3, 2)))
-    with pytest.raises(ValueError, match="family planted, not random"):
-        Instance(3, 6, Family.RANDOM, 1, Planted(1, 101, Assignment.identity(3, 6)))
+def test_random_models_reject_rank_wraparound():
+    # 300^8 > 2^64: the uint64 rank would wrap and alias weights
+    with pytest.raises(ValueError, match="2\\^64"):
+        LazyRandom(8, 300, 1, 101)
+    with pytest.raises(ValueError, match="2\\^64"):
+        Planted(1, 101, Assignment.identity(8, 300))
+    assert LazyRandom(8, 256, 1, 101).shape == (8, 256)  # 256^8 = 2^64
 
 
 # Frozen copies of the random and planted kernels that ranked a uint64 copy
@@ -375,8 +337,8 @@ def _lazy_instances():
                 yield generate(parse_instance_name(shape.format(tag), index))
     # a = 5, b = 17 over the planted assignment the generator draws at seed 123
     planted = build_generated_instance(Family.PLANTED, 4, 9, 123).weights.planted
-    yield Instance(4, 9, Family.RANDOM, 123, LazyRandom(5, 17))
-    yield Instance(4, 9, Family.PLANTED, 123, Planted(5, 17, planted))
+    yield Instance(LazyRandom(4, 9, 5, 17), 123)
+    yield Instance(Planted(5, 17, planted), 123)
 
 
 @pytest.mark.filterwarnings("error")
@@ -491,9 +453,9 @@ def test_apply_matches_swap_multiset(rng):
     for dims in [{0}, {1}, {2}, {0, 2}, {1, 2}]:
         b = apply_dimension_permutation(a, dims, rho)
         expected = sorted(
-            tuple(swap_vectors(a.vector(i), a.vector(rho[i]), dims)) for i in range(4)
+            tuple(swap_vectors(a.perms[:, i], a.perms[:, rho[i]], dims)) for i in range(4)
         )
-        assert sorted(map(tuple, b.vectors())) == expected
+        assert sorted(map(tuple, b.perms.T)) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -542,7 +504,7 @@ def test_swap_weight_matrix_matches_scalar(rng):
         m = swap_weight_matrix(inst, a, dims)
         for i in range(4):
             for j in range(4):
-                assert m[i, j] == inst.weight(swap_vectors(a.vector(i), a.vector(j), dims))
+                assert m[i, j] == inst.weight(swap_vectors(a.perms[:, i], a.perms[:, j], dims))
 
 
 def test_assignment_validation():
@@ -556,6 +518,6 @@ def test_assignment_validation():
 
 def test_instance_domain_bounds():
     with pytest.raises(ValueError):
-        Instance(2, 5, Family.EXPLICIT, 0, ExplicitTensor(2, 5, np.zeros(25)))
+        Instance(ExplicitTensor(2, 5, np.zeros(25)), 0)
     with pytest.raises(ValueError):
         explicit_instance(3, 0, [])

@@ -98,7 +98,7 @@ def test_known_optimum_is_lower_bound():
         inst = generate(parse_instance_name(name, 2))
         assert known_optimum(inst) == inst.lower_bound() == expected
     perms = np.vstack([np.arange(9), np.roll(np.arange(9), 1), np.arange(9)[::-1], np.arange(9)])
-    inst = Instance(4, 9, Family.PLANTED, 3, Planted(5, 17, Assignment(perms)))
+    inst = Instance(Planted(5, 17, Assignment(perms)), 3)
     assert known_optimum(inst) == inst.lower_bound() == 45.0
     assert assignment_weight(inst, inst.weights.planted) == 45.0
     for name in ("3c10", "4g6", "5p5", "3sr10"):
