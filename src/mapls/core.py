@@ -243,7 +243,22 @@ class CliqueSum(WeightModel):
         self._offsets = (np.arange(len(pairs)) * n * n)[:, None]
         # + 0.0 turns a -0.0 entry into 0.0, the sum a zero-started running
         # sum gives, so the in-order sum of a lone row cannot end on -0.0
-        self._stack = np.concatenate([d.ravel() for d in self.mats.values()]) + 0.0
+        with np.errstate(over="ignore"):
+            self._stack = self._terms(np.concatenate([d.ravel() for d in self.mats.values()]) + 0.0)
+            # every weight is at most this one, as sums and finishes are monotone
+            heaviest = self._table_sum(np.max) if n else 0.0
+        if not np.isfinite(heaviest):
+            raise ValueError("pair matrix entries too large: the heaviest vector weight overflows")
+
+    def _terms(self, stack: np.ndarray) -> np.ndarray:
+        """The stacked table entries the sums add: the tables themselves
+        for a clique sum."""
+        return stack
+
+    def _table_sum(self, reduce) -> float:
+        """Each table's `reduce` (min or max) entry, summed in pair order in
+        a 0-d buffer and finished: the weight floor or the heaviest weight."""
+        return float(self._finish(np.array(sum(reduce(self._stack.reshape(len(self._offsets), -1), axis=1)))))
 
     def _finish(self, w: np.ndarray) -> np.ndarray:
         """The weights of vectors whose pair-table sums are w, computed in
@@ -281,9 +296,7 @@ class CliqueSum(WeightModel):
         return self._finish(out.reshape([len(x) for x in sets]))
 
     def min_weight_floor(self):
-        # the sum of the tables' minima, in pair order, in a 0-d buffer
-        floor = np.array(sum(self._stack.reshape(len(self._offsets), -1).min(axis=1)))
-        return float(self._finish(floor))
+        return self._table_sum(np.min)
 
 
 class SquareRootSquares(CliqueSum):
@@ -293,9 +306,8 @@ class SquareRootSquares(CliqueSum):
 
     family = Family.SQUAREROOT
 
-    def __init__(self, s: int, mats: dict[tuple[int, int], np.ndarray]):
-        super().__init__(s, mats)
-        self._stack = self._stack**2
+    def _terms(self, stack):
+        return stack**2
 
     def _finish(self, w):
         return _round_half_up(np.sqrt(w, out=w))
@@ -343,6 +355,12 @@ class ProductWeights(WeightModel):
         if len({f.shape for f in self.factors}) > 1 or any(f.ndim != 1 for f in self.factors):
             raise ValueError("every dimension needs a 1-D factor array of one length")
         self.shape = (len(self.factors), len(self.factors[0]) if self.factors else 0)
+        # every weight is at most this one, as rounding is monotone
+        heaviest = 1.0
+        for f in self.factors:
+            heaviest *= float(f.max()) if len(f) else 0.0
+        if not np.isfinite(heaviest):
+            raise ValueError("product factors too large: the heaviest vector weight overflows")
 
     def batch(self, inst, coords):
         acc = self.factors[0][coords[:, 0]].copy()

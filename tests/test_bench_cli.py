@@ -206,6 +206,21 @@ def test_cli_verify_rejects_bad_weights(tmp_path, entry):
     assert "error" in r.stderr and "OK" not in r.stdout
 
 
+@pytest.mark.parametrize("family, data", [
+    ("product", "1e200 1e200\n" * 3),
+    ("clique", "1e308 1e308\n1e308 1e308\n" * 3),
+    ("squareroot", "1e200 1e200\n1e200 1e200\n" * 3),
+])
+def test_cli_verify_rejects_overflowing_weights(tmp_path, family, data):
+    inst = tmp_path / "i.map"
+    inst.write_text(f"MAP 3 2 {family} 0\nDATA\n{data}")
+    asg = tmp_path / "a.txt"
+    asg.write_text("1 2\n1 2\n")
+    r = run_cli("verify", "--instance", str(inst), "--assignment", str(asg))
+    assert r.returncode == 2
+    assert "overflows" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_cli_solve_row(tmp_path):
     r = run_cli("solve", "--name", "3r10", "--index", "1", "--construct", "greedy",
                 "--ls", "sdv", "--header",

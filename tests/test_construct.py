@@ -106,18 +106,96 @@ def test_determinism(name):
         assert heuristic(inst) == heuristic(inst)
 
 
-def test_product_fast_path_matches_generic_scan():
-    # the closed-form product round must agree with the generic grid scan
-    from mapls.construct import _min_compatible_vector
+# factor values whose products round to ties: adjacent doubles and the
+# inexact decimals 0.3, 0.7 and 1.1
+ROUNDING_TIE_FACTORS = np.array([
+    0.3, 0.7, 1.1, 1.0, np.nextafter(1.0, 2.0), np.nextafter(0.7, 1.0), np.nextafter(1.1, 0.0),
+])
 
-    inst = generate(parse_instance_name("3p7", 4))
-    factors = inst.weights.factors
-    remaining = [np.arange(7, dtype=np.int64) for _ in range(3)]
-    for _ in range(4):
-        fast = np.array([r[int(np.argmin(factors[j][r]))] for j, r in enumerate(remaining)])
-        generic = _min_compatible_vector(inst, remaining, -np.inf)
-        assert tuple(fast) == tuple(generic)
-        remaining = [r[r != fast[j]] for j, r in enumerate(remaining)]
+
+def _product_instance(case: str) -> Instance:
+    """A generated product instance for "name#index"; otherwise "kind-s-n"
+    with factors drawn from 1..3 ("int3", tie-heavy) or from
+    ROUNDING_TIE_FACTORS ("tie")."""
+    if "#" in case:
+        name, index = case.split("#")
+        return generate(parse_instance_name(name, int(index)))
+    kind, s, n = case.split("-")
+    rng = np.random.default_rng(list(case.encode()))
+    values = np.array([1.0, 2.0, 3.0]) if kind == "int3" else ROUNDING_TIE_FACTORS
+    return Instance(ProductWeights([rng.choice(values, int(n)) for _ in range(int(s))]), 0)
+
+
+PRODUCT_CASES = [
+    f"{kind}-{s}-{n}" for kind in ("int3", "tie") for s in range(3, 9) for n in (1, 2, 3, 5)
+] + [f"{name}#{index}" for name in ("3p8", "4p20", "5p10", "8p4") for index in (1, 2, 3)]
+
+
+def _generic_greedy(inst: Instance) -> Assignment:
+    # greedy's rounds over the plain grid scan, which every family but
+    # product uses
+    return construct._rounds(inst, lambda sets: construct._min_compatible_vector(inst, sets, -np.inf))
+
+
+def test_product_fast_path_matches_generic_scan():
+    # the closed-form lightest vector agrees with the generic grid scan,
+    # round by round, also where float products round to ties
+    from mapls.construct import _min_compatible_vector, _product_min_vector
+
+    argmin_differs = 0
+    for case in ["3p7#4"] + [c for c in PRODUCT_CASES if c.startswith("tie")]:
+        inst = _product_instance(case)
+        factors = inst.weights.factors
+        remaining = [np.arange(inst.n, dtype=np.int64) for _ in range(inst.s)]
+        while len(remaining[0]):
+            fast = _product_min_vector(factors, remaining)
+            assert tuple(fast) == tuple(_min_compatible_vector(inst, remaining, -np.inf)), case
+            # the per-dimension argmin, the lightest factor of each dimension,
+            # need not be the lexicographically-first lightest vector
+            argmin = [r[int(np.argmin(f[r]))] for f, r in zip(factors, remaining)]
+            argmin_differs += tuple(argmin) != tuple(fast)
+            remaining = [r[r != v] for r, v in zip(remaining, fast)]
+    assert argmin_differs  # the cases do hold rounding ties
+
+
+@pytest.mark.parametrize("case", PRODUCT_CASES)
+def test_product_constructions_match_generic_scan_and_frozen_reference(case, monkeypatch):
+    # greedy against the generic scan (the frozen _ref_greedy keeps the
+    # per-dimension argmin), max-regret against the frozen scan reference;
+    # the closed forms scan no grid, so the block limit cannot matter
+    inst = _product_instance(case)
+    want_greedy, want_regret = _generic_greedy(inst).perms, _ref_max_regret(inst).perms
+    for limit in (construct.BLOCK_ROWS, 1, 7):
+        monkeypatch.setattr(construct._iter_grid_blocks, "__defaults__", (limit,))
+        assert np.array_equal(greedy(inst).perms, want_greedy), limit
+        assert np.array_equal(max_regret(inst).perms, want_regret), limit
+
+
+def test_product_best_two_matches_grid_scan():
+    # every slot's two lightest weights, bit for bit, on random partial
+    # grids of rounding-tie factors, one value left included
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        s, n = int(rng.integers(3, 7)), int(rng.integers(1, 6))
+        inst = Instance(ProductWeights([rng.choice(ROUNDING_TIE_FACTORS, n) for _ in range(s)]), 0)
+        m = int(rng.integers(1, n + 1))
+        sets = [np.sort(rng.choice(n, m, replace=False)) for _ in range(s)]
+        fast = construct._product_best_two(inst.weights.factors, sets)
+        assert fast.tobytes() == construct._scan_best_two(inst, sets).tobytes()
+
+
+@pytest.mark.parametrize("case", ["3p8#1", "5p10#2", "tie-4-5"])
+def test_product_constructions_weigh_nothing(case, monkeypatch):
+    # the closed forms cannot fall back to a scan unnoticed
+    inst = _product_instance(case)
+
+    def refused(self, arg):
+        raise AssertionError("a product construction weighed vectors")
+
+    monkeypatch.setattr(Instance, "weight_grid", refused)
+    monkeypatch.setattr(Instance, "weight_batch", refused)
+    greedy(inst).validate()
+    max_regret(inst).validate()
 
 
 def test_greedy_beats_trivial_on_random():

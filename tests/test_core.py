@@ -99,6 +99,34 @@ def test_product_factor_validation():
             ProductWeights([ok, np.array(bad), ok])
 
 
+@pytest.mark.filterwarnings("error")
+def test_models_reject_weights_that_overflow():
+    # the heaviest weight bounds every weight, as rounding is monotone; when
+    # it overflows, a grid may hold only inf weights, where a construction
+    # finds no lightest vector
+    far = np.array([[0.0, 0.0], [1e308, 0.0]])
+    for build in (
+        lambda: ProductWeights([np.full(3, 1e200)] * 3),
+        lambda: ProductWeights([np.array([1.0, 1e200])] * 3),  # only the heaviest overflows
+        lambda: CliqueSum(3, _pair_mats(3, 3, 1e308)),
+        lambda: SquareRootSquares(3, _pair_mats(3, 3, 1e200)),  # its squares overflow
+        lambda: GeometricPoints([far, far, far]),
+    ):
+        with pytest.raises(ValueError, match="overflows"):
+            build()
+    from mapls import greedy, max_regret
+
+    for model in (
+        ProductWeights([np.full(3, 1e100)] * 3),
+        CliqueSum(3, _pair_mats(3, 3, 1e307)),
+        SquareRootSquares(3, _pair_mats(3, 3, 1e150)),
+    ):
+        inst = Instance(model, 0)
+        assert np.isfinite(inst.weight_grid([np.arange(3)] * 3)).all()
+        for heuristic in (greedy, max_regret):
+            heuristic(inst).validate()
+
+
 # Frozen copies of the weight models that derived every geometric distance
 # and every squared distance per row, which the table gathers must match bit
 # for bit.
