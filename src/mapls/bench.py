@@ -24,7 +24,7 @@ from .generate import (
     known_optimum,
     parse_instance_name,
 )
-from .localsearch import EPS, LS_NAMES, V_VARIANTS, make_local_search
+from .localsearch import EPS, LS_NAMES, V_VARIANTS, make_local_search, search_min_n
 from .meta import MetaConfig, chain, multichain
 
 CSV_COLUMNS = (
@@ -96,8 +96,15 @@ class ExperimentSpec:
             raise ValueError("need at least one instance name and one index")
         if any(index < 1 for index in self.indices):
             raise ValueError(f"instance indices must be >= 1, got {self.indices}")
+        # checked before any row runs: the search or the perturbation would
+        # raise only after the rows before the offending name had run
+        least = search_min_n(self.ls)
         for name in self.instance_names:
-            parse_instance_name(name)  # raises on malformed names
+            n = parse_instance_name(name).n  # raises on malformed names
+            if n < least:
+                raise ValueError(f"{name}: local search {self.ls} needs n >= {least}")
+            if self.meta is not None and n < 2:
+                raise ValueError(f"{name}: {self.meta.kind} perturbs its start, which needs n >= 2")
 
     def meta_label(self) -> str:
         if self.meta is None:

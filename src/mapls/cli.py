@@ -16,7 +16,7 @@ import numpy as np
 from . import bench as bench_mod
 from .analysis import nbhd_size_combined, nbhd_size_dv, nbhd_size_kopt, optimum_probability_bound
 from .ap2 import solve_ap2
-from .bench import CONSTRUCT_LABELS, CONSTRUCTORS, CSV_COLUMNS, ExperimentSpec, suite_names
+from .bench import CONSTRUCT_LABELS, CONSTRUCTORS, CSV_COLUMNS, ExperimentSpec, _num, suite_names
 from .core import assignment_weight
 from .files import dump_assignment, dump_instance, load_assignment, load_instance, save_assignment
 from .generate import generate, parse_instance_name
@@ -160,7 +160,7 @@ def _cmd_construct(args) -> int:
     if args.csv:
         label = CONSTRUCT_LABELS.get(args.heuristic, args.heuristic)
         w = assignment_weight(inst, a)
-        print(f"{fam.name},{fam.index},{fam.seed},{label},{w:g},{ms:.1f}")
+        print(f"{fam.name},{fam.index},{fam.seed},{label},{_num(w)},{ms:.1f}")
         return 0
     if args.out:
         save_assignment(a, args.out)
@@ -232,7 +232,7 @@ def _cmd_ap2(args) -> int:
     if n * n != len(tokens) or n == 0:
         raise ValueError(f"{args.matrix}: expected n*n entries, got {len(tokens)}")
     perm, cost = solve_ap2(np.asarray(tokens).reshape(n, n))
-    print("cost", f"{cost:g}")
+    print("cost", _num(cost))
     print("perm", " ".join(str(v + 1) for v in perm))
     return 0
 
@@ -244,7 +244,7 @@ def _cmd_verify(args) -> int:
         inst = generate(parse_instance_name(args.name, args.index))
     a = load_assignment(args.assignment, inst.s, inst.n)
     a.validate()
-    print(f"OK weight={assignment_weight(inst, a):g}")
+    print(f"OK weight={_num(assignment_weight(inst, a))}")
     return 0
 
 

@@ -1,17 +1,25 @@
 """Construction heuristics: trivial, greedy, max-regret and ROM.
 
-Greedy and max-regret run the same rounds. On every family but product,
-each round scans the grid of vectors compatible with the current partial
-assignment in lexicographic order, in bounded blocks so that even n^s in
-the hundreds of millions stays tractable. ROM's aggregates run on the same
-block scan, so no construction weighs more than BLOCK_ROWS vectors per
-call. A block is a product of per-dimension value sets, weighed as a grid
-by Instance.weight_grid; no coordinate block is built. On product
-instances greedy's pick, max-regret's slot gaps and max-regret's commit
-come in closed form from the sorted factors and weigh no grid; they give
-the scan's own floats and vectors, bit for bit. Ties are always broken
-toward the lexicographically smallest vector, which keeps every heuristic
-deterministic.
+Greedy and max-regret run the same rounds, each committing one vector
+compatible with the partial assignment. On every family but product they
+keep per-slot state from round to round and re-weigh only what a commit
+invalidated. Greedy keeps each unused dimension-0 value's lightest
+compatible vector; at s <= 4 max-regret keeps each (dimension, value)
+slot's list of lightest vectors. A round only removes vectors, so a kept
+minimum whose vector survives the commit is still the minimum, and a list
+that keeps two compatible entries still gives its slot's two smallest
+weights. Max-regret at s >= 5 scans the whole compatible grid every round.
+
+Every scan runs over the grid of a slot set in lexicographic order, in
+bounded blocks, so that even n^s in the hundreds of millions stays
+tractable. ROM's aggregates run on the same block scan, so no construction
+weighs more than BLOCK_ROWS vectors per call. A block is a product of
+per-dimension value sets, weighed as a grid by Instance.weight_grid; no
+coordinate block is built. On product instances greedy's pick,
+max-regret's slot gaps and max-regret's commit come in closed form from
+the sorted factors and weigh no grid; they give the scan's own floats and
+vectors, bit for bit. Ties are always broken toward the lexicographically
+smallest vector, which keeps every heuristic deterministic.
 """
 
 from __future__ import annotations
@@ -47,20 +55,66 @@ def _iter_grid_blocks(sets: list[np.ndarray], limit: int = BLOCK_ROWS):
         yield prefix, [x[p : p + 1] for x, p in zip(sets, prefix)] + sets[split:]
 
 
-def _min_compatible_vector(inst: Instance, sets: list[np.ndarray], floor: float):
-    """Lexicographically-first minimum-weight vector in the compatible grid,
-    stopping early as soon as the instance-wide weight floor is attained."""
-    best_w = np.inf
-    best = None
-    for _, block in _iter_grid_blocks(sets):
+def _min_compatible_vector(inst: Instance, sets: list[np.ndarray], dims=(0,), k: int = 1,
+                           floor: float = -np.inf):
+    """The k lightest vectors through every slot of the grid of `sets`, a
+    slot being a value sets[j][p] of a dimension j in `dims` (all of one
+    length m). Returns their weights, (len(dims), m, k), ascending per slot
+    and inf past a slot's last vector, and the vectors, (len(dims), m, k, s).
+
+    A block's weights form a grid over its dims; dimension j's slots read
+    theirs off the grid with axis j moved first, one row per slot (a single
+    row when the prefix fixes j), and merge them into what earlier blocks
+    gave. With k = 1 a slot keeps its lexicographically-first lightest
+    vector: blocks run in lexicographic order, a row's argmin is its first,
+    and a later block's vector replaces it only when strictly lighter. With
+    k > 1 a later block's vector wins a tie instead. Max-regret's lists
+    serve weights only, so either rule is exact, and this one keeps the
+    lists of the dimensions after the first from all holding vectors
+    through dimension 0's first values, which the first commits remove
+    together. The scan stops after the first block at which a slot of
+    dims[0] attains `floor`; the slots it has not reached keep weight inf."""
+    s = len(sets)
+    m = len(sets[dims[0]])
+    best_w = np.full((len(dims), m, k), np.inf)
+    best_v = np.zeros((len(dims), m, k, s), dtype=np.int64)
+    for prefix, block in _iter_grid_blocks(sets):
         w = inst.weight_grid(block)
-        k = int(np.argmin(w))
-        if w.flat[k] < best_w:
-            best_w = float(w.flat[k])
-            best = np.array([x[i] for x, i in zip(block, np.unravel_index(k, w.shape))])
-            if best_w <= floor:
-                break
-    return best
+        for i, j in enumerate(dims):
+            rest = [d for d in range(s) if d != j]
+            rows = w.transpose([j] + rest).reshape(w.shape[j], -1)
+            if k == 1:
+                col = rows.argmin(axis=1)[:, None]
+            elif rows.shape[1] <= k:
+                col = np.broadcast_to(np.arange(rows.shape[1]), rows.shape)
+            else:
+                col = np.argpartition(rows, k - 1, axis=1)[:, :k]
+            cand_w = rows[np.arange(len(rows))[:, None], col]
+            cand_v = np.empty(col.shape + (s,), dtype=np.int64)
+            cand_v[..., j] = block[j][:, None]
+            for d, pos in zip(rest, np.unravel_index(col, [w.shape[d] for d in rest])):
+                cand_v[..., d] = block[d][pos]
+            at = slice(prefix[j], prefix[j] + 1) if j < len(prefix) else slice(None)
+            bw, bv = best_w[i, at], best_v[i, at]
+            if k == 1:
+                lighter = cand_w[:, 0] < bw[:, 0]
+                bw[lighter], bv[lighter] = cand_w[lighter], cand_v[lighter]
+            else:
+                # the block's entries go first, so the stable sort gives them the ties
+                cand_w = np.concatenate([cand_w, bw], axis=1)
+                order = np.argsort(cand_w, axis=1, kind="stable")[:, :k]
+                bw[:] = np.take_along_axis(cand_w, order, axis=1)
+                bv[:] = np.take_along_axis(np.concatenate([cand_v, bv], axis=1), order[..., None], axis=1)
+        if best_w[0, :, 0].min() <= floor:
+            break
+    return best_w, best_v
+
+
+def _lightest_vector(inst: Instance, sets: list[np.ndarray]) -> np.ndarray:
+    """Lexicographically-first lightest vector of the grid of `sets`: the
+    first lightest of the dimension-0 slots' own."""
+    w, v = _min_compatible_vector(inst, sets)
+    return v[0, int(np.argmin(w[0, :, 0])), 0]
 
 
 def _rounds(inst: Instance, pick) -> Assignment:
@@ -75,26 +129,74 @@ def _rounds(inst: Instance, pick) -> Assignment:
 
 
 def greedy(inst: Instance) -> Assignment:
-    """n rounds, each committing the cheapest vector compatible with the
-    partial assignment."""
+    """n rounds, each committing the lexicographically-first lightest
+    vector compatible with the partial assignment.
+
+    Every unused dimension-0 value v, a slot, keeps from round to round the
+    lexicographically-first lightest compatible vector through v and its
+    weight. A commit x removes slot x_0 and makes stale every slot whose
+    vector holds one of x_1..x_{s-1}. Every other slot stays exact: a round
+    only removes vectors, so a surviving lexicographically-first minimum
+    stays one. For the same reason a stale slot's old weight bounds its new
+    one from below; a slot not yet weighed has the weight floor as bound.
+    The pick is the lowest slot of least exact weight, the grid's
+    lexicographically-first minimum, once no stale slot could hold it: none
+    has a bound below that weight, or equal to it and a lower value. Until
+    then the stale slots that could are re-weighed in ascending order, in
+    groups of 1, 2, 4, ... slots of at most BLOCK_ROWS vectors in all; a
+    group's scan stops at the first slot that attains the floor. So a round
+    ends at a slot at the floor with no stale slot before it.
+    """
     model = inst.weights
     if isinstance(model, ProductWeights):
         return _rounds(inst, lambda sets: _product_min_vector(model.factors, sets))
     floor = inst.min_weight_floor()
-    return _rounds(inst, lambda sets: _min_compatible_vector(inst, sets, floor))
+    slot_w = np.full(inst.n, floor)  # exact where fresh, a lower bound where stale
+    slot_v = np.zeros((inst.n, inst.s), dtype=np.int64)
+    fresh = np.zeros(inst.n, dtype=bool)
+
+    def pick(sets):
+        values = sets[0]
+        most = max(1, BLOCK_ROWS // len(values) ** (inst.s - 1))
+        group = 1
+        while True:
+            w, ok = slot_w[values], fresh[values]
+            exact = np.where(ok, w, np.inf)
+            best = int(np.argmin(exact))
+            could = ~ok & (w <= exact[best])
+            could[best:] &= w[best:] < exact[best]
+            stale = np.flatnonzero(could)
+            if not len(stale):
+                x = slot_v[values[best]].copy()
+                break
+            redo = values[stale[:group]]
+            gw, gv = _min_compatible_vector(inst, [redo] + sets[1:], floor=floor)
+            done = np.isfinite(gw[0, :, 0])
+            slot_w[redo[done]], slot_v[redo[done]] = gw[0, done, 0], gv[0, done, 0]
+            fresh[redo[done]] = True
+            group = min(2 * group, most)
+        fresh[(slot_v[:, 1:] == x[1:]).any(axis=1)] = False
+        return x
+
+    return _rounds(inst, pick)
 
 
 def max_regret(inst: Instance) -> Assignment:
     """n rounds; each scores every (dimension, unused value) slot by the gap
-    between its best and second-best compatible vectors and commits the best
-    vector of the widest-gap slot."""
+    between its best and second-best compatible vectors and commits the
+    lexicographically-first lightest vector of the widest-gap slot.
+
+    At s <= 4 the slots keep lists of their lightest vectors from round to
+    round (_listed_best_two). At s >= 5 every round scans the whole
+    compatible grid: a commit there empties so many lists that refilling
+    them costs more than the scans."""
     model = inst.weights
     if isinstance(model, ProductWeights):
         best_two = lambda sets: _product_best_two(model.factors, sets)
         commit = lambda sets: _product_min_vector(model.factors, sets)
     else:
-        best_two = lambda sets: _scan_best_two(inst, sets)
-        commit = lambda sets: _min_compatible_vector(inst, sets, -np.inf)
+        best_two = _listed_best_two(inst) if inst.s <= 4 else lambda sets: _scan_best_two(inst, sets)
+        commit = lambda sets: _lightest_vector(inst, sets)
 
     def pick(sets):
         best = best_two(sets)
@@ -105,6 +207,60 @@ def max_regret(inst: Instance) -> Assignment:
         return commit(slot_sets)
 
     return _rounds(inst, pick)
+
+
+# entries in a max-regret slot's list of lightest vectors
+REGRET_LIST = 16
+
+
+def _listed_best_two(inst: Instance):
+    """_scan_best_two for the successive rounds of one max-regret run.
+
+    The first round fills every (dimension, value) slot's list with its
+    REGRET_LIST lightest (weight, vector) pairs, in one scan for all
+    dimensions. In a later round the entries whose vectors are still
+    compatible give the slot's two smallest weights exactly when there are
+    two of them: a round only removes vectors, and every vector missing from
+    a full list weighs at least its last entry. A list that is not full
+    holds its whole slot. So only a full list with fewer than two compatible
+    entries is refilled, from its slot's sub-grid, one scan for all such
+    slots of a dimension; when those scans would weigh more than half the
+    compatible grid, one scan refills every list instead."""
+    s, n, k = inst.s, inst.n, REGRET_LIST
+    list_w = np.full((s, n, k), np.inf)
+    list_v = np.zeros((s, n, k, s), dtype=np.int64)
+    filled = False
+
+    def refill(sets, dims):
+        w, v = _min_compatible_vector(inst, sets, dims, k)
+        for i, j in enumerate(dims):
+            list_w[j, sets[j]], list_v[j, sets[j]] = w[i], v[i]
+
+    def listed(sets):
+        # the slots' list weights, inf where a vector is no longer
+        # compatible, and which lists are full
+        rows, values = np.arange(s)[:, None], np.stack(sets)
+        alive = np.zeros((s, n), dtype=bool)
+        alive[rows, values] = True
+        w = list_w[rows, values]
+        ok = alive[np.arange(s), list_v[rows, values]].all(axis=-1)
+        return np.where(ok, w, np.inf), np.isfinite(w[..., -1])
+
+    def best_two(sets):
+        nonlocal filled
+        w, full = listed(sets)
+        short = full & (np.isfinite(w).sum(axis=-1) < 2)
+        if not filled or 2 * short.sum() > len(sets[0]):
+            refill(sets, tuple(range(s)))
+            filled = True
+            w, _ = listed(sets)
+        elif short.any():
+            for j in np.flatnonzero(short.any(axis=1)):
+                refill(sets[:j] + [sets[j][short[j]]] + sets[j + 1 :], (j,))
+            w, _ = listed(sets)
+        return np.sort(w, axis=-1)[..., :2]
+
+    return best_two
 
 
 def _scan_best_two(inst: Instance, sets: list[np.ndarray]) -> np.ndarray:

@@ -679,6 +679,12 @@ LS_NAMES = (
 )
 
 
+def search_min_n(name: str) -> int:
+    """The least n that the search `name` runs on: k-opt recombines k rows
+    and v-opt at least two; the dimensionwise searches run at any n."""
+    return {"2opt": 2, "3opt": 3, "vopt": 2}.get(name.lower().split("+")[-1], 1)
+
+
 def _chained_k_opt(k: int):
     """k_opt as a search callable that hands each call the result of its
     previous call on the same instance as a known local optimum, so a chain

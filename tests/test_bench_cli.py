@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from mapls import bench, cli
 from mapls.bench import (
     ExperimentResult,
     ExperimentSpec,
@@ -17,6 +18,7 @@ from mapls.bench import (
     update_best_known,
 )
 from mapls.generate import generate, parse_instance_name
+from mapls.meta import MetaConfig
 
 
 def run_cli(*args, env_extra=None):
@@ -134,6 +136,36 @@ def test_spec_validation():
             ExperimentSpec(["3r10"], indices=indices)
 
 
+@pytest.mark.parametrize("names, ls, meta", [
+    (["3r40", "3r2"], "3opt", None),
+    (["3r40", "3r2"], "2dv+3opt", None),
+    (["3r4", "3r1"], "vopt", None),
+    (["3r4", "3r1"], "sdv+vopt", None),
+    (["3r4", "3r1"], "2opt", None),
+    (["3r4", "3r1"], "1dv", MetaConfig("chain", iteration_cap=2)),
+    (["3r4", "3r1"], "none", MetaConfig("chain", time_budget=1.0)),
+    (["3r4", "3r1"], "1dv", MetaConfig("multichain", c=2, iteration_cap=5)),
+])
+def test_spec_refuses_sizes_its_search_cannot_run_on(names, ls, meta, monkeypatch):
+    # refused before any row runs, so no finished row is thrown away
+    calls = []
+    monkeypatch.setattr(bench, "run_single", lambda *args, **kw: calls.append(args))
+    with pytest.raises(ValueError, match="needs n >= "):
+        ExperimentSpec(names, indices=[1, 2, 3], ls=ls, meta=meta)
+    argv = ["bench", "--names", ",".join(names), "--indices", "1..3", "--ls", ls]
+    if meta is not None:
+        argv += ["--meta", meta.kind, "--multichain-width", str(meta.c)]
+        argv += ["--iters", str(meta.iteration_cap)] if meta.iteration_cap else ["--time", "1s"]
+    assert cli.main(argv) == 2
+    assert calls == []
+
+
+def test_spec_accepts_the_least_sizes():
+    for name, ls in [("3r2", "2opt"), ("3r3", "3opt"), ("3r2", "vopt"), ("3r1", "sdv"), ("3r1", "none")]:
+        ExperimentSpec([name], ls=ls)
+    ExperimentSpec(["3r2"], ls="none", meta=MetaConfig("chain", iteration_cap=2))
+
+
 def test_run_experiment_rows_and_aggregates(tmp_path):
     spec = ExperimentSpec(
         ["3r8", "3p8"], indices=[1, 2], construct="greedy", ls="1dv",
@@ -186,6 +218,21 @@ def test_cli_generate_and_verify(tmp_path):
     r = run_cli("construct", "--name", "3c6", "--index", "2", "--heuristic", "greedy", "--csv")
     assert r.returncode == 0
     assert r.stdout.strip().split(",")[:5] == ["3c6", "2", "11", "greedy", verified]
+
+
+def test_cli_prints_weights_with_every_digit(tmp_path):
+    # 8p8 #1's trivial weight has eight significant digits
+    asg = tmp_path / "a.txt"
+    r = run_cli("construct", "--name", "8p8", "--heuristic", "trivial", "--csv")
+    assert r.returncode == 0 and r.stdout.strip().split(",")[4] == "11945136"
+    r = run_cli("construct", "--name", "8p8", "--heuristic", "trivial", "--out", str(asg))
+    assert r.returncode == 0
+    r = run_cli("verify", "--name", "8p8", "--assignment", str(asg))
+    assert r.returncode == 0 and r.stdout == "OK weight=11945136\n"
+    m = tmp_path / "m.txt"
+    m.write_text("12345678 99999999\n99999999 0.5\n")
+    r = run_cli("ap2", "--matrix", str(m))
+    assert r.returncode == 0 and r.stdout.splitlines()[0] == "cost 12345678.5000"
 
 
 def test_cli_verify_rejects_invalid(tmp_path):

@@ -132,15 +132,15 @@ PRODUCT_CASES = [
 
 
 def _generic_greedy(inst: Instance) -> Assignment:
-    # greedy's rounds over the plain grid scan, which every family but
-    # product uses
-    return construct._rounds(inst, lambda sets: construct._min_compatible_vector(inst, sets, -np.inf))
+    # greedy's rounds, each scanning the whole compatible grid for its
+    # lexicographically-first lightest vector; no slot state, no floor stop
+    return construct._rounds(inst, lambda sets: construct._lightest_vector(inst, sets))
 
 
 def test_product_fast_path_matches_generic_scan():
     # the closed-form lightest vector agrees with the generic grid scan,
     # round by round, also where float products round to ties
-    from mapls.construct import _min_compatible_vector, _product_min_vector
+    from mapls.construct import _lightest_vector, _product_min_vector
 
     argmin_differs = 0
     for case in ["3p7#4"] + [c for c in PRODUCT_CASES if c.startswith("tie")]:
@@ -149,7 +149,7 @@ def test_product_fast_path_matches_generic_scan():
         remaining = [np.arange(inst.n, dtype=np.int64) for _ in range(inst.s)]
         while len(remaining[0]):
             fast = _product_min_vector(factors, remaining)
-            assert tuple(fast) == tuple(_min_compatible_vector(inst, remaining, -np.inf)), case
+            assert tuple(fast) == tuple(_lightest_vector(inst, remaining)), case
             # the per-dimension argmin, the lightest factor of each dimension,
             # need not be the lexicographically-first lightest vector
             argmin = [r[int(np.argmin(f[r]))] for f, r in zip(factors, remaining)]
@@ -449,3 +449,71 @@ def test_constructions_weigh_at_most_the_block_limit(heuristic, name, monkeypatc
         monkeypatch.setattr(construct._iter_grid_blocks, "__defaults__", (limit,))
         heuristic(inst)
         assert rows and max(rows) <= limit, limit
+
+
+# Many rounds on slots kept from earlier rounds: greedy's slot minima go
+# stale only through a commit, max-regret's lists are refilled only when
+# short. 3r25 reaches the random family's weight floor, so greedy's floor
+# stop runs on kept slots; the second limit splits every slot's sub-grid.
+SLOT_STATE_CASES = ["3c20#1", "3sr20#2", "3r25#1", "4g12#1", "4r12#3", "4gp10#1"]
+
+
+@pytest.mark.parametrize("case", SLOT_STATE_CASES)
+def test_slot_state_matches_frozen_reference(case, monkeypatch):
+    inst = _reference_instance(case)
+    want_greedy, want_regret = _ref_greedy(inst), _ref_max_regret(inst)
+    if case.startswith("3r"):
+        assert (inst.weight_batch(want_greedy.perms.T) == inst.min_weight_floor()).sum() > 1
+    for limit in (construct.BLOCK_ROWS, inst.n ** (inst.s - 1) // 2):
+        monkeypatch.setattr(construct._iter_grid_blocks, "__defaults__", (limit,))
+        assert np.array_equal(greedy(inst).perms, want_greedy.perms), limit
+        assert np.array_equal(max_regret(inst).perms, want_regret.perms), limit
+
+
+def test_greedy_refreshes_a_stale_slot_before_a_later_floor_slot():
+    # round 1 weighs slots 0, then 1-2, then 3-6 and commits (3, 0, 0), the
+    # first floor vector; that makes slot 4's (4, 0, 1) stale while slot 5
+    # keeps (5, 2, 3) at the floor. Round 2 must re-weigh slot 4 first and
+    # commit its other floor vector (4, 2, 2), which (5, 2, 3) conflicts with.
+    n = 8
+    vals = 1.0 + np.indices((n, n, n)).sum(axis=0) % 3
+    for v in [(3, 0, 0), (4, 0, 1), (4, 2, 2), (5, 2, 3)]:
+        vals[v] = 0.0
+    inst = explicit_instance(3, n, vals.ravel())
+    a = greedy(inst)
+    assert {(3, 0, 0), (4, 2, 2)} <= set(map(tuple, a.perms.T.tolist()))
+    assert np.array_equal(a.perms, _ref_greedy(inst).perms)
+
+
+def _weighed(monkeypatch, run) -> int:
+    """Vectors weighed by run()."""
+    grid = Instance.weight_grid
+    count = [0]
+
+    def counting(self, sets):
+        w = grid(self, sets)
+        count[0] += w.size
+        return w
+
+    monkeypatch.setattr(Instance, "weight_grid", counting)
+    run()
+    monkeypatch.setattr(Instance, "weight_grid", grid)
+    return count[0]
+
+
+@pytest.mark.parametrize("heuristic, name, share", [
+    ("greedy", "3c40", 0.25), ("greedy", "3c150", 0.1),
+    ("max_regret", "3c40", 0.25), ("max_regret", "4c16", 0.5),
+])
+def test_slot_state_weighs_a_fraction_of_the_per_round_scan(heuristic, name, share, monkeypatch):
+    # the per-round scans: greedy's lightest vector of the whole compatible
+    # grid, and max-regret's best two of every slot from a full scan
+    inst = generate(parse_instance_name(name, 1))
+    kept = _weighed(monkeypatch, lambda: getattr(construct, heuristic)(inst))
+    if heuristic == "greedy":
+        rescan = _weighed(monkeypatch, lambda: _generic_greedy(inst))
+    else:
+        monkeypatch.setattr(construct, "_listed_best_two",
+                            lambda inst: lambda sets: construct._scan_best_two(inst, sets))
+        rescan = _weighed(monkeypatch, lambda: max_regret(inst))
+    assert kept <= share * rescan, (kept, rescan)
