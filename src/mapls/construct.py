@@ -4,11 +4,10 @@ Greedy and max-regret run the same rounds, each committing one vector
 compatible with the partial assignment. On every family but product they
 keep per-slot state from round to round and re-weigh only what a commit
 invalidated. Greedy keeps each unused dimension-0 value's lightest
-compatible vector; at s <= 4 max-regret keeps each (dimension, value)
-slot's list of lightest vectors. A round only removes vectors, so a kept
-minimum whose vector survives the commit is still the minimum, and a list
-that keeps two compatible entries still gives its slot's two smallest
-weights. Max-regret at s >= 5 scans the whole compatible grid every round.
+compatible vector; max-regret keeps each (dimension, value) slot's list of
+lightest vectors. A round only removes vectors, so a kept minimum whose
+vector survives the commit is still the minimum, and a list that keeps two
+compatible entries still gives its slot's two smallest weights.
 
 Every scan runs over the grid of a slot set in lexicographic order, in
 bounded blocks, so that even n^s in the hundreds of millions stays
@@ -186,16 +185,15 @@ def max_regret(inst: Instance) -> Assignment:
     between its best and second-best compatible vectors and commits the
     lexicographically-first lightest vector of the widest-gap slot.
 
-    At s <= 4 the slots keep lists of their lightest vectors from round to
-    round (_listed_best_two). At s >= 5 every round scans the whole
-    compatible grid: a commit there empties so many lists that refilling
-    them costs more than the scans."""
+    The slots keep lists of their lightest vectors from round to round
+    (_listed_best_two); on product instances the gaps and the commit come
+    in closed form."""
     model = inst.weights
     if isinstance(model, ProductWeights):
         best_two = lambda sets: _product_best_two(model.factors, sets)
         commit = lambda sets: _product_min_vector(model.factors, sets)
     else:
-        best_two = _listed_best_two(inst) if inst.s <= 4 else lambda sets: _scan_best_two(inst, sets)
+        best_two = _listed_best_two(inst)
         commit = lambda sets: _lightest_vector(inst, sets)
 
     def pick(sets):
@@ -214,7 +212,9 @@ REGRET_LIST = 16
 
 
 def _listed_best_two(inst: Instance):
-    """_scan_best_two for the successive rounds of one max-regret run.
+    """Every slot's two smallest compatible weights, (s, m, 2) and inf
+    past a slot's last vector, for the successive rounds of one max-regret
+    run.
 
     The first round fills every (dimension, value) slot's list with its
     REGRET_LIST lightest (weight, vector) pairs, in one scan for all
@@ -263,27 +263,6 @@ def _listed_best_two(inst: Instance):
     return best_two
 
 
-def _scan_best_two(inst: Instance, sets: list[np.ndarray]) -> np.ndarray:
-    """best[j, p] holds the two smallest weights of the vectors through
-    value sets[j][p]. A block's weights form an m^(s-k) cube over its tail
-    dims, so a tail dim's slots read theirs off one partition along its axis;
-    every vector of the block passes through the slots its prefix fixes.
-    Each block's two smallest are merged into `best` by a sort of four."""
-    s, m = inst.s, len(sets[0])
-    best = np.full((s, m, 2), np.inf)
-    for prefix, block in _iter_grid_blocks(sets):
-        k = len(prefix)
-        w = inst.weight_grid(block).reshape((m,) * (s - k))
-        for j in range(k, s):
-            cand = np.moveaxis(w, j - k, 0).reshape(m, -1)
-            cand = np.partition(cand, min(1, cand.shape[1] - 1), axis=1)[:, :2]
-            best[j] = np.sort(np.concatenate([best[j], cand], axis=1), axis=1)[:, :2]
-        cand = np.partition(w, min(1, w.size - 1), axis=None)[:2]
-        for j, p in enumerate(prefix):
-            best[j, p] = np.sort(np.concatenate([best[j, p], cand]))[:2]
-    return best
-
-
 # Product shortcuts. Factors are positive and float rounding is monotone, so
 # a product computed in dimension order, as ProductWeights.grid does, cannot
 # fall when one factor is replaced by a larger one. Each value below is such
@@ -311,12 +290,13 @@ def _product_min_vector(factors: list[np.ndarray], sets: list[np.ndarray]) -> np
 
 
 def _product_best_two(factors: list[np.ndarray], sets: list[np.ndarray]) -> np.ndarray:
-    """_scan_best_two in closed form. A slot's lightest vector puts every
-    other dimension at its lightest factor. Any other vector through the slot
-    holds some other dimension i at a factor no lighter than i's second
-    lightest, so the second-lightest weight is the least of those products
-    over i. With one value left a slot holds one vector, and its second is
-    inf, as in the scan."""
+    """Every slot's two smallest weights, as _listed_best_two gives them,
+    in closed form. A slot's lightest vector puts every other dimension at
+    its lightest factor. Any other vector through the slot holds some other
+    dimension i at a factor no lighter than i's second lightest, so the
+    second-lightest weight is the least of those products over i. With one
+    value left a slot holds one vector, and its second is inf, as in the
+    scan."""
     s, m = len(sets), len(sets[0])
     vals = [f[x] for f, x in zip(factors, sets)]
     low = np.array([np.sort(v)[:2] for v in vals])

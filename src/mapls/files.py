@@ -2,7 +2,8 @@
 
 Instance files: line 1 is `MAP <s> <n> <family> <seed>`. Explicit instances
 follow with n^s whitespace-separated weights in lexicographic order; random
-and planted instances carry no body (they are regenerated from the seed);
+and planted instances carry no body (they are regenerated from the seed, so
+only the generator's own random and planted instances can be written);
 decomposable and geometric instances carry their matrices/points row-major
 after a `DATA` sentinel line.
 
@@ -12,6 +13,7 @@ Assignment files: s-1 lines, each a space-separated permutation of 1..n
 
 from __future__ import annotations
 
+import io
 from itertools import combinations
 from typing import TextIO
 
@@ -41,8 +43,15 @@ def _write_block(out: TextIO, values, per_line: int) -> None:
 
 
 def dump_instance(inst: Instance, out: TextIO) -> None:
-    out.write(f"MAP {inst.s} {inst.n} {inst.family.value} {inst.seed}\n")
     model, family = inst.weights, inst.family
+    if family in (Family.RANDOM, Family.PLANTED):
+        # the file holds only the seed, so the seed must rebuild this model
+        rebuilt = build_generated_instance(family, inst.s, inst.n, inst.seed).weights
+        if (model.a, model.b) != (rebuilt.a, rebuilt.b) or (
+                family == Family.PLANTED and not np.array_equal(model.planted.perms, rebuilt.planted.perms)):
+            raise ValueError(f"seed {inst.seed} does not rebuild this {family.value} instance: "
+                             "only generated instances can be saved")
+    out.write(f"MAP {inst.s} {inst.n} {family.value} {inst.seed}\n")
     if family == Family.EXPLICIT:
         _write_block(out, model.values, inst.n)
     elif family in (Family.CLIQUE, Family.SQUAREROOT):
@@ -61,8 +70,10 @@ def dump_instance(inst: Instance, out: TextIO) -> None:
 
 
 def save_instance(inst: Instance, path) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        dump_instance(inst, out)
+    out = io.StringIO()
+    dump_instance(inst, out)  # first, so that a refused instance leaves the file alone
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(out.getvalue())
 
 
 def _parse_header(line: str):

@@ -181,7 +181,8 @@ def test_product_best_two_matches_grid_scan():
         m = int(rng.integers(1, n + 1))
         sets = [np.sort(rng.choice(n, m, replace=False)) for _ in range(s)]
         fast = construct._product_best_two(inst.weights.factors, sets)
-        assert fast.tobytes() == construct._scan_best_two(inst, sets).tobytes()
+        scan = construct._min_compatible_vector(inst, sets, tuple(range(s)), 2)[0]
+        assert fast.tobytes() == scan.tobytes()
 
 
 @pytest.mark.parametrize("case", ["3p8#1", "5p10#2", "tie-4-5"])
@@ -455,7 +456,8 @@ def test_constructions_weigh_at_most_the_block_limit(heuristic, name, monkeypatc
 # stale only through a commit, max-regret's lists are refilled only when
 # short. 3r25 reaches the random family's weight floor, so greedy's floor
 # stop runs on kept slots; the second limit splits every slot's sub-grid.
-SLOT_STATE_CASES = ["3c20#1", "3sr20#2", "3r25#1", "4g12#1", "4r12#3", "4gp10#1"]
+SLOT_STATE_CASES = ["3c20#1", "3sr20#2", "3r25#1", "4g12#1", "4r12#3", "4gp10#1",
+                    "5r7#1", "5c6#2", "5sr6#1", "6g5#1"]
 
 
 @pytest.mark.parametrize("case", SLOT_STATE_CASES)
@@ -503,7 +505,7 @@ def _weighed(monkeypatch, run) -> int:
 
 @pytest.mark.parametrize("heuristic, name, share", [
     ("greedy", "3c40", 0.25), ("greedy", "3c150", 0.1),
-    ("max_regret", "3c40", 0.25), ("max_regret", "4c16", 0.5),
+    ("max_regret", "3c40", 0.25), ("max_regret", "4c16", 0.5), ("max_regret", "5r15", 0.5),
 ])
 def test_slot_state_weighs_a_fraction_of_the_per_round_scan(heuristic, name, share, monkeypatch):
     # the per-round scans: greedy's lightest vector of the whole compatible
@@ -513,7 +515,8 @@ def test_slot_state_weighs_a_fraction_of_the_per_round_scan(heuristic, name, sha
     if heuristic == "greedy":
         rescan = _weighed(monkeypatch, lambda: _generic_greedy(inst))
     else:
-        monkeypatch.setattr(construct, "_listed_best_two",
-                            lambda inst: lambda sets: construct._scan_best_two(inst, sets))
+        every_slot = tuple(range(inst.s))
+        monkeypatch.setattr(construct, "_listed_best_two", lambda inst: lambda sets:
+                            construct._min_compatible_vector(inst, sets, every_slot, 2)[0])
         rescan = _weighed(monkeypatch, lambda: max_regret(inst))
     assert kept <= share * rescan, (kept, rescan)

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from mapls import (
+    Assignment,
+    Instance,
+    LazyRandom,
+    Planted,
     assignment_weight,
     generate,
     greedy,
@@ -39,6 +43,19 @@ def test_serialization_bit_identical(name, tmp_path):
     assert p1.read_text() == p2.read_text()
 
 
+@pytest.mark.parametrize("inst", [
+    Instance(LazyRandom(3, 5, 0, 1000), 7),  # not the generator's range
+    Instance(Planted(1, 101, Assignment.identity(3, 6)), 1),  # not the seed's planted perms
+], ids=["random", "planted"])
+def test_save_refuses_what_the_seed_does_not_rebuild(inst, tmp_path):
+    # the header holds only the seed, so loading would change the weights
+    path = tmp_path / "inst.map"
+    path.write_text("kept")
+    with pytest.raises(ValueError, match="only generated instances"):
+        save_instance(inst, path)
+    assert path.read_text() == "kept"
+
+
 def test_explicit_round_trip(tmp_path):
     inst = explicit_instance(3, 2, np.arange(8.0))
     path = tmp_path / "e.map"
@@ -66,8 +83,6 @@ def test_assignment_round_trip(tmp_path):
 
 
 def test_assignment_file_is_one_based(tmp_path):
-    from mapls import Assignment
-
     path = tmp_path / "a.txt"
     save_assignment(Assignment.identity(3, 3), path)
     assert path.read_text() == "1 2 3\n1 2 3\n"
