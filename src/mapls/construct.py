@@ -82,13 +82,14 @@ def _min_compatible_vector(inst: Instance, sets: list[np.ndarray], dims=(0,), k:
         for i, j in enumerate(dims):
             rest = [d for d in range(s) if d != j]
             rows = w.transpose([j] + rest).reshape(w.shape[j], -1)
+            r = np.arange(len(rows))[:, None]
             if k == 1:
                 col = rows.argmin(axis=1)[:, None]
             elif rows.shape[1] <= k:
-                col = np.broadcast_to(np.arange(rows.shape[1]), rows.shape)
+                col = np.arange(rows.shape[1])[None, :].repeat(len(rows), axis=0)
             else:
                 col = np.argpartition(rows, k - 1, axis=1)[:, :k]
-            cand_w = rows[np.arange(len(rows))[:, None], col]
+            cand_w = rows[r, col]
             cand_v = np.empty(col.shape + (s,), dtype=np.int64)
             cand_v[..., j] = block[j][:, None]
             for d, pos in zip(rest, np.unravel_index(col, [w.shape[d] for d in rest])):
@@ -102,8 +103,8 @@ def _min_compatible_vector(inst: Instance, sets: list[np.ndarray], dims=(0,), k:
                 # the block's entries go first, so the stable sort gives them the ties
                 cand_w = np.concatenate([cand_w, bw], axis=1)
                 order = np.argsort(cand_w, axis=1, kind="stable")[:, :k]
-                bw[:] = np.take_along_axis(cand_w, order, axis=1)
-                bv[:] = np.take_along_axis(np.concatenate([cand_v, bv], axis=1), order[..., None], axis=1)
+                bw[:] = cand_w[r, order]
+                bv[:] = np.concatenate([cand_v, bv], axis=1)[r, order]
         if best_w[0, :, 0].min() <= floor:
             break
     return best_w, best_v

@@ -11,7 +11,8 @@ square-root, geometric) share one batch and one grid path over stacked
 n x n tables, each family ending in its own `_finish` step; the rank
 families (random, planted, explicit) share one batch and one grid path
 over lexicographic ranks, each family ending in its own `_weigh_ranks`
-step; product weights multiply one factor per dimension.
+step (random and planted weights hash the ranks in place, one cache-sized
+chunk at a time); product weights multiply one factor per dimension.
 
 Coordinates are 0-based everywhere in code; the text file formats speak
 1-based (see files.py).
@@ -21,12 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rng import mix64, mix64_array
+from .rng import mix64, mix64_array, u64
 
 
 class Family(str, Enum):
@@ -64,6 +66,21 @@ def _spread(sets: list[np.ndarray]) -> tuple[list, list[int]]:
 # and term arrays at 28 x 16384 x 8 bytes (3.7 MB) each at s = 8
 _PAIR_BLOCK = 1 << 14
 
+# values per step of the random hash: each step of the mix and the
+# remainder runs over 32,768 uint64 (256 KB) and a scratch array of as
+# many, which stay in L2 cache from step to step, where a step over the
+# whole rank buffer streams megabytes through memory and allocates a
+# temporary as large
+_HASH_CHUNK = 1 << 15
+
+
+@lru_cache(maxsize=64)
+def _seed_key(seed: int) -> np.ndarray:
+    """mix64(seed), the offset a random model adds to every rank, cached
+    per seed: mixing it in Python takes about a tenth of the time of a
+    600-vector batch."""
+    return u64(mix64(seed))
+
 
 class WeightModel:
     """Weight function over the vector grid. Immutable after construction."""
@@ -96,9 +113,9 @@ class _RankWeights(WeightModel):
     values, run on a uint64 view of them, so nothing is copied. A grid adds
     the per-dimension terms S_j * stride_j by outer sums into a rank grid in
     C order. Both wrap mod 2^64 alike, so they give the same ranks, exact
-    while n^s <= 2^64. Each hands its fresh rank array, with a view of the
-    vectors' dimension-0 values that broadcasts against it, to the model's
-    `_weigh_ranks`.
+    while n^s <= 2^64. Each hands its fresh C-contiguous rank array, with a
+    view of the vectors' dimension-0 values that broadcasts against it, to
+    the model's `_weigh_ranks`.
     """
 
     def __init__(self, s: int, n: int):
@@ -132,6 +149,12 @@ class LazyRandom(_RankWeights):
     before keying: combining a raw seed with the rank (by xor or addition)
     leaves instances of nearby seeds related by a small rank-space shift,
     i.e. near-identical weight landscapes.
+
+    The ranks are hashed in their own buffer, `_HASH_CHUNK` values at a
+    time, so that each of the dozen numpy steps reads what the last one
+    left in cache. The remainder is taken as z - (z // span) * span, and
+    remainders of a span up to 2^63 convert to float through an int64
+    view; both give the float `np.remainder` and a uint64 conversion would.
     """
 
     family = Family.RANDOM
@@ -144,20 +167,38 @@ class LazyRandom(_RankWeights):
         if n**s > 2**64:
             # the uint64 rank would wrap and alias weights
             raise ValueError(f"random weights need n^s <= 2^64, got n={n} s={s}")
+        if b - a >= 2**64:
+            raise ValueError(f"random weights need b - a < 2^64, got b - a = {b - a}")
         super().__init__(s, n)
         self.a = int(a)
         self.b = int(b)
-        self._span, self._base = np.uint64(self.b - self.a), np.float64(self.a)
+        # 0-d operands, as the mix's constants are (see rng.u64)
+        self._span, self._base = u64(self.b - self.a), np.array(float(self.a))
+        # remainders below 2^63 are read as int64, which numpy converts to
+        # float faster than uint64, to the same float
+        self._exact = np.int64 if self.b - self.a <= 2**63 else np.uint64
 
     def _weigh_ranks(self, inst, rank, rows):
-        # computed in the rank array's own buffer
-        rank += np.uint64(mix64(inst.seed))
-        z = mix64_array(rank)
-        np.remainder(z, self._span, out=z)
-        w = z.view(np.float64)
-        w[...] = z
-        w += self._base
-        return w
+        # computed in the rank array's own buffer, one chunk at a time: the
+        # rank array is fresh and C-contiguous, so z is a view of it
+        z = rank.ravel()
+        key = _seed_key(inst.seed)
+        t = np.empty(min(z.size, _HASH_CHUNK), dtype=np.uint64)
+        for lo in range(0, z.size, _HASH_CHUNK):
+            c = z[lo : lo + _HASH_CHUNK]
+            t = t[: c.size]
+            c += key
+            mix64_array(c, t)
+            # c mod span as c - (c // span) * span: numpy divides a uint64
+            # array by a scalar several times faster than it takes the
+            # remainder
+            np.floor_divide(c, self._span, out=t)
+            t *= self._span
+            c -= t
+            w = c.view(np.float64)
+            w[...] = c.view(self._exact)
+            w += self._base
+        return rank.view(np.float64)
 
     def min_weight_floor(self):
         return float(self.a)

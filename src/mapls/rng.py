@@ -13,9 +13,20 @@ GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 _C1 = 0xBF58476D1CE4E5B9
 _C2 = 0x94D049BB133111EB
-# the same constants as uint64 scalars, so array ops need no conversion
-_U_C1, _U_C2, _U_GAMMA = np.uint64(_C1), np.uint64(_C2), np.uint64(GOLDEN_GAMMA)
-_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
+def u64(x: int) -> np.ndarray:
+    """x as a read-only 0-d uint64 array. numpy's ufuncs convert a numpy
+    scalar operand to an array on every call and take a 0-d array as it
+    is, which makes the random hash of 600 values about a quarter faster."""
+    a = np.array(x, dtype=np.uint64)
+    a.flags.writeable = False
+    return a
+
+
+# the constants as uint64 operands for the array ops
+_U_C1, _U_C2, _U_GAMMA = u64(_C1), u64(_C2), u64(GOLDEN_GAMMA)
+_U30, _U27, _U31 = u64(30), u64(27), u64(31)
 
 
 def mix64(x: int) -> int:
@@ -26,16 +37,18 @@ def mix64(x: int) -> int:
     return (z ^ (z >> 31)) & MASK64
 
 
-def mix64_array(z: np.ndarray) -> np.ndarray:
+def mix64_array(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     """Vectorized mix64, in place: z must be a writable uint64 array. It is
-    overwritten with the result and returned, and no copy is made. Array
-    arithmetic wraps mod 2^64 without warnings.
+    overwritten with the result and returned, and no copy is made. The
+    shifted values go to tmp, a uint64 array of z's shape, when one is
+    given, and to fresh temporaries otherwise. Array arithmetic wraps mod
+    2^64 without warnings.
     """
-    z ^= z >> _U30
+    z ^= np.right_shift(z, _U30, out=tmp)
     z *= _U_C1
-    z ^= z >> _U27
+    z ^= np.right_shift(z, _U27, out=tmp)
     z *= _U_C2
-    z ^= z >> _U31
+    z ^= np.right_shift(z, _U31, out=tmp)
     return z
 
 

@@ -327,6 +327,16 @@ def test_random_models_reject_rank_wraparound():
     assert LazyRandom(8, 256, 1, 101).shape == (8, 256)  # 256^8 = 2^64
 
 
+def test_random_models_reject_spans_past_uint64():
+    # b - a must fit the uint64 the remainder divides by
+    for b in (2**64, 2**64 + 1):
+        with pytest.raises(ValueError, match="b - a < 2\\^64"):
+            LazyRandom(3, 5, 0, b)
+        with pytest.raises(ValueError, match="b - a < 2\\^64"):
+            Planted(0, b, Assignment.identity(3, 5))
+    assert LazyRandom(3, 5, 1, 2**64).b == 2**64
+
+
 # Frozen copies of the random and planted kernels that ranked a uint64 copy
 # of the coordinates and masked planted vectors with s - 1 gathers, which the
 # in-place kernel must match bit for bit.
@@ -395,12 +405,64 @@ def test_lazy_kernel_matches_reference():
         assert np.array_equal(wide[::3, ::2], sliced)
 
 
+def _chunk_cases():
+    """Instances and grids around the hash's chunk boundaries: a long last
+    dimension holding chunk - 1, chunk, chunk + 1 and several chunks of
+    vectors, on random and planted models (planted vectors at the last
+    position of a chunk and the first of the next) and on spans past 2^63,
+    the widest of which leaves half its remainders past int64; ROM's row
+    grid on 5r24 and a max-regret slot grid on 5r15."""
+    c = core._HASH_CHUNK
+    n = 3 * c + 5
+    planted = Assignment.identity(3, n)
+    for model in (LazyRandom(3, n, 1, 101), Planted(1, 101, planted),
+                  LazyRandom(3, n, 0, 2**63 + 7), LazyRandom(3, n, 5, 2**64 + 4)):
+        inst = Instance(model, 7)
+        for x in (0, c - 1, c):
+            for size in (c - 1, c, c + 1, 3 * c + 5):
+                yield inst, [np.array([x]), np.array([x]), np.arange(size)]
+        yield inst, [np.arange(2), np.array([c]), np.arange(c + 3)]
+    for tag in ("r", "gp"):
+        for index in (1, 2):
+            rom = generate(parse_instance_name(f"5{tag}24", index))
+            yield rom, [np.array([3])] + [np.arange(24)] * 4
+            slot = generate(parse_instance_name(f"5{tag}15", index))
+            yield slot, [np.array([6]), np.arange(15), np.arange(1, 15), np.arange(15)[::-1], np.arange(15)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_chunked_hash_matches_reference_across_chunks():
+    for inst, sets in _chunk_cases():
+        coords = _product_list(sets)
+        want = _reference_lazy_batch(inst, coords)
+        assert inst.weight_batch(coords).tobytes() == want.tobytes()
+        assert inst.weight_grid(sets).tobytes() == want.tobytes()
+        if inst.family == Family.PLANTED:
+            perms = inst.weights.planted.perms
+            hits = (coords == perms[:, coords[:, 0]].T).all(axis=1)
+            assert (want[hits] == inst.weights.a).all()
+    c = core._HASH_CHUNK
+    # planted vectors at the last position of a chunk and the first of the next
+    n = 3 * c + 5
+    inst = Instance(Planted(1, 101, Assignment.identity(3, n)), 7)
+    coords = np.random.default_rng(3).integers(0, n, size=(3 * c, 3))
+    coords[[c - 1, c, 2 * c - 1, 2 * c]] = [[c - 1] * 3, [c] * 3, [5] * 3, [n - 1] * 3]
+    w = inst.weight_batch(coords)
+    assert w.tobytes() == _reference_lazy_batch(inst, coords).tobytes()
+    assert (w[[c - 1, c, 2 * c - 1, 2 * c]] == 1.0).all()
+    # a span past 2^63 converts its remainders as uint64
+    assert Instance(LazyRandom(3, 5, 0, 2**63 + 7), 7).weight((1, 2, 3)) == 6705872587133259776.0
+
+
 def test_mix64_array_in_place():
     x = np.arange(1, 1001, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     copy = x.copy()
     ref = _reference_mix64_array(copy)
     out = mix64_array(x)
     assert out is x and np.array_equal(x, ref)
+    # the shifts through a scratch array instead of temporaries
+    y, tmp = copy.copy(), np.empty_like(copy)
+    assert mix64_array(y, tmp) is y and np.array_equal(y, ref)
     assert [int(v) for v in ref[:5]] == [mix64(int(v)) for v in copy[:5]]
 
 
