@@ -177,10 +177,9 @@ def run_single(
     search = make_local_search(ls, inst.s, ls_variant)
     if meta is None:
         achieved = search(inst, a0).final_weight
-    elif meta.kind == "chain":
-        achieved = chain(inst, a0, search, meta).best_weight
     else:
-        achieved = multichain(inst, a0, search, meta).best_weight
+        driver = chain if meta.kind == "chain" else multichain
+        achieved = driver(inst, a0, search, meta).best_weight
     return achieved, (time.perf_counter() - t0) * 1000.0
 
 

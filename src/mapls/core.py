@@ -160,6 +160,8 @@ class LazyRandom(_RankWeights):
     family = Family.RANDOM
 
     def __init__(self, s: int, n: int, a: int, b: int):
+        if s < 1 or n < 1:
+            raise ValueError(f"random weights need s, n >= 1, got s={s} n={n}")
         if not a < b:
             raise ValueError(f"LazyRandom requires a < b, got a={a} b={b}")
         if a < 0:
@@ -446,13 +448,16 @@ class Instance:
         object.__setattr__(self, "family", self.weights.family)
 
     def weight(self, e: Sequence[int]) -> float:
-        """Weight of a single vector; validates coordinate ranges."""
-        coords = np.asarray(e, dtype=np.int64)
+        """Weight of a single vector; validates that its coordinates are
+        integers in range."""
+        coords = np.asarray(e)
         if coords.shape != (self.s,):
             raise ValueError(f"vector must have {self.s} coordinates")
         if (coords < 0).any() or (coords >= self.n).any():
             raise ValueError(f"coordinate out of range in {tuple(coords)}")
-        return float(self.weights.batch(self, coords[None, :])[0])
+        if (coords != np.trunc(coords)).any():
+            raise ValueError(f"coordinates must be integers, got {coords.tolist()}")
+        return float(self.weights.batch(self, coords.astype(np.int64)[None, :])[0])
 
     def weight_batch(self, coords: np.ndarray) -> np.ndarray:
         """Weights of an (m, s) coordinate array. Every coordinate must lie

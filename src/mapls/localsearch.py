@@ -33,7 +33,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, permutations, product as iter_product
+from itertools import chain, combinations, count, permutations, product as iter_product
 from math import comb
 
 import numpy as np
@@ -581,40 +581,36 @@ def combined(
     vectorwise: str,
     v_variant: str = "improved",
 ) -> LocalSearchReport:
-    """Alternate dimensionwise and vectorwise phases until neither improves.
+    """Alternate dimensionwise and vectorwise phases, starting with a
+    dimensionwise one, until a phase after the first improves on the
+    previous phase's result by no more than EPS.
 
     The pair (sdv, 2opt) is rejected: the 2-opt neighborhood is contained in
     the sdv one, so the combination adds nothing. Each k-opt phase after the
-    first gets the previous phase's result as its `local_optimum`.
+    first gets the previous k-opt phase's result as its `local_optimum`.
     """
     if vectorwise not in VECTORWISE:
         raise ValueError(f"unknown vectorwise heuristic {vectorwise!r}")
     if family.variant == "sdv" and vectorwise == "2opt":
         raise ValueError("the combination sdv+2opt is rejected (no added neighborhood)")
     t0 = time.perf_counter()
-    r = dv_search(inst, a, family)
-    a, w = r.result, r.final_weight
-    w0 = r.initial_weight
-    passes, ap2_calls, evals = r.passes, r.ap2_calls, r.candidate_evals
+    w = np.inf  # the first phase is not compared
+    passes = ap2_calls = evals = 0
     optimum = None  # the last k-opt phase's result
-    while True:
-        x = w
-        if vectorwise == "vopt":
-            rv = v_opt(inst, a, v_variant)
+    for phase in count():
+        if phase % 2 == 0:
+            r = dv_search(inst, a, family)
+        elif vectorwise == "vopt":
+            r = v_opt(inst, a, v_variant)
         else:
-            rv = k_opt(inst, a, 2 if vectorwise == "2opt" else 3, local_optimum=optimum)
-            optimum = rv.result
-        a, w = rv.result, rv.final_weight
-        passes += rv.passes
-        evals += rv.candidate_evals
-        if w >= x - EPS:
-            break
-        x = w
-        rd = dv_search(inst, a, family)
-        a, w = rd.result, rd.final_weight
-        passes += rd.passes
-        ap2_calls += rd.ap2_calls
-        evals += rd.candidate_evals
+            r = k_opt(inst, a, 2 if vectorwise == "2opt" else 3, local_optimum=optimum)
+            optimum = r.result
+        if phase == 0:
+            w0 = r.initial_weight
+        x, a, w = w, r.result, r.final_weight
+        passes += r.passes
+        ap2_calls += r.ap2_calls
+        evals += r.candidate_evals
         if w >= x - EPS:
             break
     return _report(a, w0, w, passes, ap2_calls, evals, t0)

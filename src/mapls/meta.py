@@ -1,14 +1,16 @@
 """Chain and Multichain: budgeted perturb-then-resolve wrappers around any
 local search.
 
-Both keep a best-seen incumbent, perturb it (or a population of carriers)
-and re-run the local search until a wall-clock or iteration budget runs
-out. Budgets are sampled between local-search calls, never inside them, so
-a run can overshoot by at most one call; with an iteration cap the whole
-procedure is deterministic for a fixed rng seed. A time-budgeted run also
-ends once its best weight reaches the proven bound `inst.lower_bound()`,
-and sets `MetaResult.stopped_at_bound`: a replacement must be strictly
-lighter, so the rest of the budget could not change it.
+Both run one generation loop, their only call of the search and of
+`perturb`: the best c results of a generation carry over, carrier i
+spawning c - i perturbed inputs of the next. Chain is the case c = 1 whose
+first generation is the start itself. Budgets are sampled between
+local-search calls, never inside them, so a run can overshoot by at most
+one call; with an iteration cap the whole procedure is deterministic for a
+fixed rng seed. A time-budgeted run also ends once its best weight reaches
+the proven bound `inst.lower_bound()`, and sets
+`MetaResult.stopped_at_bound`: a replacement must be strictly lighter, so
+the rest of the budget could not change it.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class MetaResult:
     best: Assignment
     best_weight: float
     ls_calls: int
-    iterations: int  # chain iterations / completed multichain generations
+    iterations: int  # completed generations; each of chain's is one search
     elapsed: float
     # a time-budgeted run returned early, its best weight at the bound n*floor
     stopped_at_bound: bool = False
@@ -77,94 +79,71 @@ class _Budget:
         self.t0 = time.perf_counter()
         self.calls = 0
         # iteration-capped runs always make exactly their N calls
-        timed = cfg.time_budget is not None
-        self.bound = inst.lower_bound() if timed else -math.inf
+        self.bound = inst.lower_bound() if cfg.time_budget is not None else -math.inf
 
     def exhausted(self) -> bool:
         if self.cfg.iteration_cap is not None:
             return self.calls >= self.cfg.iteration_cap
         return time.perf_counter() - self.t0 >= self.cfg.time_budget
 
-    def at_bound(self, best_w: float) -> bool:
-        return best_w - EPS <= self.bound
-
     def run(self, ls, inst, a):
         self.calls += 1
         return ls(inst, a)
 
+    def result(self, best, best_w, generations, stopped_at_bound=False) -> MetaResult:
+        return MetaResult(best, best_w, self.calls, generations, time.perf_counter() - self.t0,
+                          stopped_at_bound)
+
 
 def chain(inst: Instance, a0: Assignment, ls, cfg: MetaConfig) -> MetaResult:
-    """Alternate local search and perturbation, tracking the best result."""
+    """Alternate local search and perturbation, tracking the best result:
+    the generation loop with c = 1, whose first generation is the start
+    itself, so `iterations` counts the searches."""
     if cfg.kind != "chain":
         raise ValueError("config kind must be 'chain'")
-    rng = SplitMix64(cfg.rng_seed)
-    budget = _Budget(cfg, inst)
-    best = a0.copy()
-    best_w = assignment_weight(inst, a0)
-    a = a0
-    iterations = 0
-    at_bound = False
-    while not budget.exhausted():
-        r = budget.run(ls, inst, a)
-        iterations += 1
-        a = r.result
-        if r.final_weight < best_w - EPS:
-            best, best_w = a.copy(), r.final_weight
-        at_bound = budget.at_bound(best_w)
-        if at_bound:
-            break
-        a = perturb(a, rng)
-    return MetaResult(best, best_w, budget.calls, iterations, time.perf_counter() - budget.t0,
-                      stopped_at_bound=at_bound)
+    return _generations(inst, a0, ls, cfg, 1, perturb_start=False)
 
 
 def multichain(inst: Instance, a0: Assignment, ls, cfg: MetaConfig) -> MetaResult:
     """Population variant: c(c+1)/2 searches per generation, the best c
-    results carried over, carrier i spawning c-i+1 perturbed children.
+    results carried over, carrier i spawning c-i perturbed children. The
+    first generation is c(c+1)/2 perturbations of the start.
 
     A generation cut short by the budget is discarded; if even the first
-    (seeding) generation cannot finish, the start assignment is returned
-    with iterations = 0.
+    cannot finish, the start assignment is returned with iterations = 0.
     """
     if cfg.kind != "multichain":
         raise ValueError("config kind must be 'multichain'")
+    return _generations(inst, a0, ls, cfg, cfg.c, perturb_start=True)
+
+
+def _generations(inst, a0, ls, cfg, c, perturb_start):
+    """The loop under chain and multichain. The first generation's carriers
+    are c copies of the start; carrier i of a generation spawns c - i
+    inputs, perturbed unless this is the first generation and
+    `perturb_start` is false. The inputs are searched in order, the budget
+    checked before each call, and the results sorted stably by weight
+    (ties keep search order): the first c carry over. A generation cut
+    short by the budget is discarded."""
+    if a0.perms.shape != (inst.s, inst.n):
+        raise ValueError(f"the start has shape {a0.perms.shape}, the instance needs {(inst.s, inst.n)}")
+    a0.validate()
     rng = SplitMix64(cfg.rng_seed)
     budget = _Budget(cfg, inst)
-    c = cfg.c
-    best = a0.copy()
-    best_w = assignment_weight(inst, a0)
-
-    population: list[tuple[float, int, Assignment]] = []
-    seq = 0
-    for _ in range(c * (c + 1) // 2):
-        if budget.exhausted():
-            return MetaResult(best, best_w, budget.calls, 0, time.perf_counter() - budget.t0)
-        r = budget.run(ls, inst, perturb(best, rng))
-        population.append((r.final_weight, seq, r.result))
-        seq += 1
-
+    best, best_w = a0.copy(), assignment_weight(inst, a0)
+    carriers, perturbing = [a0] * c, perturb_start
     generations = 0
     while True:
-        population.sort(key=lambda entry: (entry[0], entry[1]))
-        carriers = population[:c]
+        results = []
+        for parent in [a for i, a in enumerate(carriers) for _ in range(c - i)]:
+            if budget.exhausted():
+                return budget.result(best, best_w, generations)
+            r = budget.run(ls, inst, perturb(parent, rng) if perturbing else parent)
+            results.append((r.final_weight, r.result))
+        results.sort(key=lambda wr: wr[0])
         generations += 1
-        if carriers[0][0] < best_w - EPS:
-            best, best_w = carriers[0][2].copy(), carriers[0][0]
-        at_bound = budget.at_bound(best_w)
-        if at_bound or budget.exhausted():
-            break
-        population, aborted = [], False
-        for i, (_, _, carrier) in enumerate(carriers):
-            for _ in range(c - i):
-                if budget.exhausted():
-                    aborted = True
-                    break
-                r = budget.run(ls, inst, perturb(carrier, rng))
-                population.append((r.final_weight, seq, r.result))
-                seq += 1
-            if aborted:
-                break
-        if aborted:
-            break
-    return MetaResult(best, best_w, budget.calls, generations, time.perf_counter() - budget.t0,
-                      stopped_at_bound=at_bound)
+        if results[0][0] < best_w - EPS:
+            best, best_w = results[0][1].copy(), results[0][0]
+        if best_w - EPS <= budget.bound:
+            return budget.result(best, best_w, generations, stopped_at_bound=True)
+        carriers, perturbing = [a for _, a in results[:c]], True

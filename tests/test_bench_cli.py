@@ -338,6 +338,11 @@ def test_cli_exit_codes(tmp_path):
     assert r.returncode == 2  # data error
     r = run_cli("ap2", "--matrix", str(tmp_path / "missing.txt"))
     assert r.returncode == 2
+    bad, a = tmp_path / "bad.map", tmp_path / "a.txt"
+    bad.write_text("MAP 3 -5 random 7\n")
+    a.write_text("1 2 3\n1 2 3\n")
+    r = run_cli("verify", "--instance", str(bad), "--assignment", str(a))
+    assert r.returncode == 2 and "Traceback" not in r.stderr
 
 
 @pytest.mark.parametrize("args", [

@@ -327,6 +327,13 @@ def test_random_models_reject_rank_wraparound():
     assert LazyRandom(8, 256, 1, 101).shape == (8, 256)  # 256^8 = 2^64
 
 
+def test_random_models_reject_empty_shapes():
+    # a negative n would reach the uint64 place values as numpy's OverflowError
+    for s, n in ((3, -5), (3, 0), (0, 5), (-1, 4)):
+        with pytest.raises(ValueError, match="s, n >= 1"):
+            LazyRandom(s, n, 1, 101)
+
+
 def test_random_models_reject_spans_past_uint64():
     # b - a must fit the uint64 the remainder divides by
     for b in (2**64, 2**64 + 1):
@@ -472,6 +479,14 @@ def test_weight_out_of_range_rejected():
         inst.weight((0, 0, 2))
     with pytest.raises(ValueError):
         inst.weight((0, -1, 0))
+
+
+def test_weight_non_integral_rejected():
+    inst = explicit_instance(3, 2, np.arange(8.0))
+    assert inst.weight((1.0, 0.0, 1.0)) == inst.weight((1, 0, 1)) == 5.0
+    for e in ((0.7, 1, 1), (0, 1, 0.5), (float("nan"), 0, 0)):
+        with pytest.raises(ValueError, match="integers"):
+            inst.weight(e)
 
 
 def test_explicit_tensor_validation():

@@ -101,6 +101,14 @@ def test_load_assignment_errors(tmp_path):
         load_assignment(path, 3, 3)  # not a permutation
 
 
+@pytest.mark.parametrize("header", ["MAP 3 -5 random 7", "MAP 3 0 random 7", "MAP -1 4 random 7"])
+def test_load_instance_rejects_empty_random_shapes(header, tmp_path):
+    path = tmp_path / "bad.map"
+    path.write_text(header + "\n")
+    with pytest.raises(ValueError, match="s, n >= 1"):
+        load_instance(path)
+
+
 def test_load_instance_errors(tmp_path):
     path = tmp_path / "bad.map"
     path.write_text("MAP 3 x random 1\n")

@@ -187,6 +187,19 @@ def test_timed_multichain_stops_at_proven_bound_after_one_generation():
     assert res.elapsed < 2.0
 
 
+@pytest.mark.parametrize("kind", ["chain", "multichain"])
+def test_invalid_start_rejected(kind):
+    inst = generate(parse_instance_name("3r5", 1))
+    driver = chain if kind == "chain" else multichain
+    cfg = MetaConfig(kind, c=2, iteration_cap=2)
+    bad = trivial(inst)
+    bad.perms[1] = 0  # not a permutation
+    with pytest.raises(ValueError, match="not a valid assignment"):
+        driver(inst, bad, ls_1dv(3), cfg)
+    with pytest.raises(ValueError, match="shape"):
+        driver(inst, Assignment.identity(4, 5), ls_1dv(3), cfg)
+
+
 def test_capped_runs_make_every_call_at_the_bound():
     inst = _planted_diagonal()
     a0 = trivial(inst)

@@ -1,13 +1,19 @@
-"""The library names perfbench wraps or reads still exist and still work.
+"""The library names perfbench wraps or reads still exist and still work,
+and its seed-0 passes still reproduce the stored references.
 
 perfbench (the end-to-end benchmark in perfbench/) binds these names when
 it starts; a refactor that renames one fails here, in the test suite,
-rather than only in a benchmark run.
+rather than only in a benchmark run. A change that alters any result of
+the desk, vopt or scan workload fails here too.
 """
 
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,3 +43,17 @@ def test_perfbench_binds_library_names():
     proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("workload, attempted", [("desk", 108), ("vopt", 4), ("scan", 18)])
+def test_perfbench_reproduces_its_references(workload, attempted, tmp_path):
+    # one pass at seed 0; the worker itself compares the desk CSV minus
+    # time_ms and the vopt and scan weights with perfbench/reference/
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "perfbench/worker.py", "--workload", workload, "--workdir", str(tmp_path)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["failures"] == {} and out["attempted"] == attempted
