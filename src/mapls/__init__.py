@@ -39,7 +39,6 @@ from .localsearch import (
     build_family,
     combined,
     dv_search,
-    enumerate_neighborhood,
     k_opt,
     make_local_search,
     v_opt,

@@ -231,7 +231,8 @@ def _cmd_ap2(args) -> int:
     n = math.isqrt(len(tokens))
     if n * n != len(tokens) or n == 0:
         raise ValueError(f"{args.matrix}: expected n*n entries, got {len(tokens)}")
-    perm, cost = solve_ap2(np.asarray(tokens).reshape(n, n))
+    with np.errstate(over="ignore"):  # an overflowing cost is an error from solve_ap2, not also a warning
+        perm, cost = solve_ap2(np.asarray(tokens).reshape(n, n))
     print("cost", _num(cost))
     print("perm", " ".join(str(v + 1) for v in perm))
     return 0

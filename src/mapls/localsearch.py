@@ -22,10 +22,6 @@ Three families:
   screened or re-verified. Every skip is exact;
 * ``combined``: alternate a dimensionwise and a vectorwise search until the
   assignment is a local optimum of both.
-
-``enumerate_neighborhood`` is the exact (guarded, small-scale) enumeration
-oracle used to certify local optimality and cross-check the closed-form
-neighborhood cardinalities in analysis.py.
 """
 
 from __future__ import annotations
@@ -614,53 +610,6 @@ def combined(
         if w >= x - EPS:
             break
     return _report(a, w0, w, passes, ap2_calls, evals, t0)
-
-
-# -- neighborhood enumeration oracle ----------------------------------------
-
-
-def enumerate_neighborhood(inst: Instance, a: Assignment, kind: str) -> set[Assignment]:
-    """Exact neighborhood as a de-duplicated set of assignments (including
-    the center). `kind` is one of 1dv/2dv/sdv/2opt/3opt or a 'dv+opt' union
-    like 'sdv+3opt'. Guarded to n <= 5 and s <= 4."""
-    if inst.n > 5 or inst.s > 4:
-        raise ValueError("enumeration guard exceeded (needs n <= 5 and s <= 4)")
-    out: set[Assignment] = set()
-    for part in kind.split("+"):
-        part = part.strip()
-        if part in DV_VARIANTS:
-            out |= _enum_dv(inst, a, part)
-        elif part in ("2opt", "3opt"):
-            out |= _enum_kopt(inst, a, 2 if part == "2opt" else 3)
-        else:
-            raise ValueError(f"unknown neighborhood kind {part!r}")
-    return out
-
-
-def _enum_dv(inst, a, variant):
-    family = build_family(variant, inst.s)
-    out = {a.copy()}
-    for dims in family.sets:
-        for rho in permutations(range(inst.n)):
-            out.add(apply_dimension_permutation(a, dims, np.asarray(rho)))
-    return out
-
-
-def _enum_kopt(inst, a, k):
-    s, n = inst.s, inst.n
-    out = {a.copy()}
-    # size-k subsets cover all smaller recombinations; for n < k fall back
-    # to the largest available subset size
-    k = min(k, n)
-    for rows in combinations(range(n), k):
-        rows = np.asarray(rows)
-        coords = a.perms[:, rows]
-        for tup in iter_product(permutations(range(k)), repeat=s - 1):
-            b = a.copy()
-            for j in range(1, s):
-                b.perms[j, rows] = coords[j][np.asarray(tup[j - 1])]
-            out.add(b)
-    return out
 
 
 # -- wiring -----------------------------------------------------------------

@@ -1,13 +1,15 @@
-"""Shared helpers: explicit-tensor builders and brute-force oracles."""
+"""Shared helpers: explicit-tensor builders, brute-force oracles and the exact
+neighborhood enumeration that certifies local optima."""
 
 import os
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mapls import Assignment, ExplicitTensor, Instance
+from mapls import Assignment, ExplicitTensor, Instance, apply_dimension_permutation, build_family
+from mapls.localsearch import DV_VARIANTS
 
 
 def explicit_instance(s: int, n: int, values) -> Instance:
@@ -33,6 +35,50 @@ def brute_force_ap2(matrix: np.ndarray) -> float:
     m = np.asarray(matrix, dtype=float)
     n = m.shape[0]
     return min(sum(m[i, p[i]] for i in range(n)) for p in permutations(range(n)))
+
+
+def enumerate_neighborhood(inst: Instance, a: Assignment, kind: str) -> set[Assignment]:
+    """Exact neighborhood as a de-duplicated set of assignments (including
+    the center). `kind` is one of 1dv/2dv/sdv/2opt/3opt or a 'dv+opt' union
+    like 'sdv+3opt'. Guarded to n <= 5 and s <= 4."""
+    if inst.n > 5 or inst.s > 4:
+        raise ValueError("enumeration guard exceeded (needs n <= 5 and s <= 4)")
+    out: set[Assignment] = set()
+    for part in kind.split("+"):
+        part = part.strip()
+        if part in DV_VARIANTS:
+            out |= _enum_dv(inst, a, part)
+        elif part in ("2opt", "3opt"):
+            out |= _enum_kopt(inst, a, 2 if part == "2opt" else 3)
+        else:
+            raise ValueError(f"unknown neighborhood kind {part!r}")
+    return out
+
+
+def _enum_dv(inst, a, variant):
+    family = build_family(variant, inst.s)
+    out = {a.copy()}
+    for dims in family.sets:
+        for rho in permutations(range(inst.n)):
+            out.add(apply_dimension_permutation(a, dims, np.asarray(rho)))
+    return out
+
+
+def _enum_kopt(inst, a, k):
+    s, n = inst.s, inst.n
+    out = {a.copy()}
+    # size-k subsets cover all smaller recombinations; for n < k fall back
+    # to the largest available subset size
+    k = min(k, n)
+    for rows in combinations(range(n), k):
+        rows = np.asarray(rows)
+        coords = a.perms[:, rows]
+        for tup in product(permutations(range(k)), repeat=s - 1):
+            b = a.copy()
+            for j in range(1, s):
+                b.perms[j, rows] = coords[j][np.asarray(tup[j - 1])]
+            out.add(b)
+    return out
 
 
 def from_perm_rows(rows) -> Assignment:

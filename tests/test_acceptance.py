@@ -18,7 +18,6 @@ from mapls import (
     chain,
     combined,
     dv_search,
-    enumerate_neighborhood,
     generate,
     greedy,
     k_opt,
@@ -37,7 +36,7 @@ from mapls.bench import PAPER_ROSTER
 from mapls.generate import TAG_BY_FAMILY
 from mapls.localsearch import make_local_search
 
-from conftest import brute_force_ap2, random_explicit
+from conftest import brute_force_ap2, enumerate_neighborhood, random_explicit
 
 
 class _Stopwatch:

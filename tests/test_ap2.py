@@ -1,4 +1,7 @@
-"""2-AP solver: examples, brute-force optimality, determinism."""
+"""2-AP solver: examples, brute-force optimality, determinism, start-up."""
+
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -73,3 +76,38 @@ def test_input_validation():
         solve_ap2(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         solve_ap2(np.zeros((0, 0)))
+
+
+def test_overflowing_cost_is_refused():
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+        solve_ap2(np.full((2, 2), 1e308))
+
+
+# Imports mapls, records whether that imported scipy.optimize, then compares
+# solve_ap2 with scipy.optimize.linear_sum_assignment on tie-heavy integer
+# matrices and on real ones. "fallback" first hides every extension suffix
+# from ap2's loader, so it must import the solver through scipy.optimize.
+_SOLVER_CHECK = """
+import importlib.machinery, sys
+if sys.argv[1] == "fallback":
+    importlib.machinery.EXTENSION_SUFFIXES.clear()
+import numpy as np
+import mapls, mapls.cli
+lean = "scipy.optimize" not in sys.modules
+import scipy.optimize
+rng = np.random.default_rng(26)
+mats = [rng.integers(0, 4, size=(n, n)).astype(float) for n in range(1, 41)]
+mats += [rng.random((n, n)) for n in (1, 2, 7, 40)]
+for m in mats:
+    perm, cost = mapls.solve_ap2(m)
+    rows, cols = scipy.optimize.linear_sum_assignment(m)
+    assert perm.tolist() == cols.tolist() and cost == float(m[rows, cols].sum())
+print(lean, mapls.ap2.linear_sum_assignment is scipy.optimize.linear_sum_assignment)
+"""
+
+
+@pytest.mark.parametrize("mode, lean", [("extension", True), ("fallback", False)])
+def test_solver_loads_without_scipy_optimize(mode, lean):
+    r = subprocess.run([sys.executable, "-c", _SOLVER_CHECK, mode], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == [str(lean), "True"]

@@ -338,6 +338,10 @@ def test_cli_exit_codes(tmp_path):
     assert r.returncode == 2  # data error
     r = run_cli("ap2", "--matrix", str(tmp_path / "missing.txt"))
     assert r.returncode == 2
+    huge = tmp_path / "huge.txt"
+    huge.write_text("1e308 1e308\n1e308 1e308\n")
+    r = run_cli("ap2", "--matrix", str(huge))
+    assert r.returncode == 2 and r.stderr == "mapls ap2: error: optimal cost overflows float64\n"
     bad, a = tmp_path / "bad.map", tmp_path / "a.txt"
     bad.write_text("MAP 3 -5 random 7\n")
     a.write_text("1 2 3\n1 2 3\n")

@@ -13,7 +13,6 @@ from mapls import (
     build_family,
     combined,
     dv_search,
-    enumerate_neighborhood,
     generate,
     greedy,
     k_opt,
@@ -30,7 +29,7 @@ from mapls.meta import MetaConfig, chain, multichain
 from mapls.localsearch import DV_VARIANTS, EPS, _swap_masks, make_local_search
 from mapls.rng import SplitMix64
 
-from conftest import brute_force_optimum, explicit_instance, random_explicit
+from conftest import brute_force_optimum, enumerate_neighborhood, explicit_instance, random_explicit
 
 
 # -- subset families ----------------------------------------------------------
