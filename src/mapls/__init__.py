@@ -34,7 +34,6 @@ from .core import (
 from .files import load_assignment, load_instance, save_assignment, save_instance
 from .generate import FamilySpec, build_generated_instance, generate, known_optimum, parse_instance_name
 from .localsearch import (
-    DimensionSubsetFamily,
     LocalSearchReport,
     build_family,
     combined,

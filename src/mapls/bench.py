@@ -114,7 +114,8 @@ class ExperimentSpec:
             f"iters={cfg.iteration_cap}" if cfg.iteration_cap is not None
             else f"time={cfg.time_budget:g}s"
         )
-        return f"{cfg.kind};{budget};seed={cfg.rng_seed}"
+        width = f"c={cfg.c};" if cfg.kind == "multichain" else ""
+        return f"{cfg.kind};{width}{budget};seed={cfg.rng_seed}"
 
 
 @dataclass
@@ -187,6 +188,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run every (name, index) pair; on a failure, raise with the partial
     rows attached to the exception (`partial_result`)."""
     registry = spec.registry if spec.registry is not None else registry_path()
+    # a v-opt search running the natural variant says so in the ls column
+    natural = spec.ls_variant == "natural" and spec.ls.endswith("vopt")
+    ls_label = f"{spec.ls};natural" if natural else spec.ls
     rows: list[ExperimentRow] = []
     for name in spec.instance_names:
         for index in spec.indices:
@@ -198,7 +202,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 rows.append(ExperimentRow(
                     name=fam.name, index=index, seed=fam.seed,
                     construct=CONSTRUCT_LABELS.get(spec.construct, spec.construct),
-                    ls=spec.ls, meta=spec.meta_label(),
+                    ls=ls_label, meta=spec.meta_label(),
                     best_known=best, achieved=achieved,
                     error_pct=(achieved / best - 1.0) * 100.0,
                     time_ms=ms,
@@ -293,10 +297,12 @@ def resolve_best_known(registry: str, fam: FamilySpec, inst: Instance, achieved:
     if known is not None:
         return known
     stored = read_registry(registry).get((fam.name, fam.index))
-    if stored is not None and stored < inst.lower_bound() - EPS:
+    if stored is None or achieved < stored - EPS:
+        if update_best_known(registry, fam.name, fam.index, achieved):
+            return achieved
+        # another writer stored a better best after the read: divide by it
+        stored = read_registry(registry)[(fam.name, fam.index)]
+    if stored < inst.lower_bound() - EPS:
         raise ValueError(f"{registry}: corrupt entry {fam.name} {fam.index} {_num(stored)}: "
                          f"below the lower bound {_num(inst.lower_bound())}")
-    if stored is None or achieved < stored - EPS:
-        update_best_known(registry, fam.name, fam.index, achieved)
-        return achieved
     return stored

@@ -35,16 +35,6 @@ EDGE_RANGE = (1, 100)  # pairwise edge weights in {1..100}
 COORD_RANGE = (1, 100)  # point coordinates in {1..100}
 FACTOR_RANGE = (1, 10)  # product factors in {1..10}
 
-_NAME_TAGS = {
-    "gp": Family.PLANTED,
-    "r": Family.RANDOM,
-    "cq": Family.CLIQUE,  # alias seen in published instance lists
-    "c": Family.CLIQUE,
-    "g": Family.GEOMETRIC,
-    "p": Family.PRODUCT,
-    "sr": Family.SQUAREROOT,
-}
-
 TAG_BY_FAMILY = {
     Family.PLANTED: "gp",
     Family.RANDOM: "r",
@@ -53,6 +43,9 @@ TAG_BY_FAMILY = {
     Family.PRODUCT: "p",
     Family.SQUAREROOT: "sr",
 }
+
+# parse-only alias "cq", seen in published instance lists
+_NAME_TAGS = {tag: family for family, tag in TAG_BY_FAMILY.items()} | {"cq": Family.CLIQUE}
 
 
 @dataclass

@@ -26,6 +26,7 @@ Three families:
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -52,19 +53,9 @@ V_VARIANTS = ("natural", "improved")
 VECTORWISE = ("2opt", "3opt", "vopt")
 
 
-@dataclass
-class DimensionSubsetFamily:
-    """Ordered dimension subsets swept by a dimensionwise heuristic."""
-
-    variant: str
-    sets: list[tuple[int, ...]]
-
-    def __len__(self):
-        return len(self.sets)
-
-
-def build_family(variant: str, s: int) -> DimensionSubsetFamily:
-    """Subset family for a DV variant, in sweep order.
+@lru_cache(maxsize=64)
+def build_family(variant: str, s: int) -> tuple[tuple[int, ...], ...]:
+    """Dimension subsets a DV variant sweeps on s dimensions, in sweep order.
 
     1dv: the s singletons. 2dv: singletons then pairs, except that for s=3
     pairs collapse onto singleton complements and are dropped, and for s=4
@@ -93,7 +84,7 @@ def build_family(variant: str, s: int) -> DimensionSubsetFamily:
                 sets.extend(combinations(range(1, s), size))
             else:
                 sets.extend(combinations(range(s), size))
-    return DimensionSubsetFamily(variant, sets)
+    return tuple(sets)
 
 
 @dataclass
@@ -115,10 +106,11 @@ def _report(result, w0, w1, passes, ap2, evals, t0) -> LocalSearchReport:
     )
 
 
-def dv_search(inst: Instance, a: Assignment, family: DimensionSubsetFamily) -> LocalSearchReport:
-    """Sweep the subset family cyclically, applying each strictly improving
-    2-AP relabeling, until every subset is known to leave the assignment
-    unchanged.
+def dv_search(inst: Instance, a: Assignment, variant: str) -> LocalSearchReport:
+    """Sweep the DV `variant`'s subset family on the instance's s
+    (`build_family(variant, inst.s)`) cyclically, applying each strictly
+    improving 2-AP relabeling, until every subset is known to leave the
+    assignment unchanged.
 
     A committed subset is not re-solved: every re-permutation of its
     dimensions from the new assignment stays in the orbit whose optimum the
@@ -130,7 +122,7 @@ def dv_search(inst: Instance, a: Assignment, family: DimensionSubsetFamily) -> L
     t0 = time.perf_counter()
     a = a.copy()
     w0 = w = assignment_weight(inst, a)
-    sets = family.sets
+    sets = build_family(variant, inst.s)
     ap2_calls = evals = 0
     clean = 0  # subsets known to leave the current assignment unchanged
     while clean < len(sets):
@@ -340,17 +332,19 @@ def _cube_tables(s: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 # Flat buffers the k-opt screen reuses across blocks and calls, by name:
 # each grows to the largest request so far, bounded by the largest screen
 # block (_BATCH_ROWS cube vectors at most), so a screen block neither maps
-# nor faults fresh temporaries.
-_WORKSPACE: dict[str, np.ndarray] = {}
+# nor faults fresh temporaries. Each thread has its own set, so concurrent
+# k_opt calls never write into each other's screens.
+_WORKSPACE = threading.local()
 
 
 def _workspace(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     """A C-contiguous view of `shape` into the named buffer, whose contents
     the next request by that name overwrites."""
     size = int(np.prod(shape))
-    buf = _WORKSPACE.get(name)
+    buf = getattr(_WORKSPACE, name, None)
     if buf is None or len(buf) < size:
-        buf = _WORKSPACE[name] = np.empty(size, dtype=dtype)
+        buf = np.empty(size, dtype=dtype)
+        setattr(_WORKSPACE, name, buf)
     return buf[:size].reshape(shape)
 
 
@@ -573,21 +567,23 @@ def v_opt(inst: Instance, a: Assignment, variant: str = "improved") -> LocalSear
 def combined(
     inst: Instance,
     a: Assignment,
-    family: DimensionSubsetFamily,
+    variant: str,
     vectorwise: str,
     v_variant: str = "improved",
 ) -> LocalSearchReport:
-    """Alternate dimensionwise and vectorwise phases, starting with a
-    dimensionwise one, until a phase after the first improves on the
+    """Alternate `dv_search(variant)` and `vectorwise` phases, starting with
+    a dimensionwise one, until a phase after the first improves on the
     previous phase's result by no more than EPS.
 
     The pair (sdv, 2opt) is rejected: the 2-opt neighborhood is contained in
-    the sdv one, so the combination adds nothing. Each k-opt phase after the
+    the sdv one, so the combination adds nothing. The test is by name: at
+    s = 3 the three DV families are one, and at s = 4 and 5 2dv's is sdv's,
+    yet 1dv+2opt and 2dv+2opt run there. Each k-opt phase after the
     first gets the previous k-opt phase's result as its `local_optimum`.
     """
     if vectorwise not in VECTORWISE:
         raise ValueError(f"unknown vectorwise heuristic {vectorwise!r}")
-    if family.variant == "sdv" and vectorwise == "2opt":
+    if variant == "sdv" and vectorwise == "2opt":
         raise ValueError("the combination sdv+2opt is rejected (no added neighborhood)")
     t0 = time.perf_counter()
     w = np.inf  # the first phase is not compared
@@ -595,7 +591,7 @@ def combined(
     optimum = None  # the last k-opt phase's result
     for phase in count():
         if phase % 2 == 0:
-            r = dv_search(inst, a, family)
+            r = dv_search(inst, a, variant)
         elif vectorwise == "vopt":
             r = v_opt(inst, a, v_variant)
         else:
@@ -615,12 +611,9 @@ def combined(
 # -- wiring -----------------------------------------------------------------
 
 LS_NAMES = (
-    "none",
-    "1dv", "2dv", "sdv",
-    "2opt", "3opt", "vopt",
-    "1dv+2opt", "2dv+2opt",
-    "1dv+3opt", "2dv+3opt", "sdv+3opt",
-    "1dv+vopt", "2dv+vopt", "sdv+vopt",
+    "none", *DV_VARIANTS, *VECTORWISE,
+    # combined rejects sdv+2opt
+    *(f"{dv}+{vw}" for vw in VECTORWISE for dv in DV_VARIANTS if (dv, vw) != ("sdv", "2opt")),
 )
 
 
@@ -649,7 +642,9 @@ def _chained_k_opt(k: int):
 
 
 def make_local_search(name: str, s: int, v_variant: str = "improved"):
-    """Callable (inst, assignment) -> LocalSearchReport for a CLI-style name."""
+    """Callable (inst, assignment) -> LocalSearchReport for a CLI-style name.
+    `s` is not read: a dimensionwise search takes its family from the
+    instance it runs on."""
     name = name.lower()
     if name not in LS_NAMES:
         raise ValueError(f"unknown local search {name!r} (choose from {', '.join(LS_NAMES)})")
@@ -660,12 +655,10 @@ def make_local_search(name: str, s: int, v_variant: str = "improved"):
             return _report(a.copy(), w, w, 0, 0, 0, t0)
         return run_none
     if name in DV_VARIANTS:
-        family = build_family(name, s)
-        return lambda inst, a: dv_search(inst, a, family)
+        return lambda inst, a: dv_search(inst, a, name)
     if name in ("2opt", "3opt"):
         return _chained_k_opt(2 if name == "2opt" else 3)
     if name == "vopt":
         return lambda inst, a: v_opt(inst, a, v_variant)
     dv_name, vw = name.split("+")
-    family = build_family(dv_name, s)
-    return lambda inst, a: combined(inst, a, family, vw, v_variant)
+    return lambda inst, a: combined(inst, a, dv_name, vw, v_variant)

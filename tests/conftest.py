@@ -56,9 +56,8 @@ def enumerate_neighborhood(inst: Instance, a: Assignment, kind: str) -> set[Assi
 
 
 def _enum_dv(inst, a, variant):
-    family = build_family(variant, inst.s)
     out = {a.copy()}
-    for dims in family.sets:
+    for dims in build_family(variant, inst.s):
         for rho in permutations(range(inst.n)):
             out.add(apply_dimension_permutation(a, dims, np.asarray(rho)))
     return out

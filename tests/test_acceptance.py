@@ -14,7 +14,6 @@ from mapls import (
     Assignment,
     MetaConfig,
     assignment_weight,
-    build_family,
     chain,
     combined,
     dv_search,
@@ -105,14 +104,13 @@ def test_criterion_3_ap2_brute_force():
 
 def test_criterion_4_local_optimality_certificates():
     rng = np.random.default_rng(31)
-    fam3, fam4 = build_family("sdv", 3), build_family("sdv", 4)
-    cases = [(3, 3, fam3)] * 50 + [(4, 3, fam4)] * 20
+    cases = [(3, 3)] * 50 + [(4, 3)] * 20
     with _Stopwatch(60.0, "criterion 4: certificates on 70 explicit instances"):
-        for s, n, fam in cases:
+        for s, n in cases:
             inst = random_explicit(s, n, rng)
             a0 = Assignment.identity(s, n)
             for kind, res in (
-                ("sdv", dv_search(inst, a0, fam).result),
+                ("sdv", dv_search(inst, a0, "sdv").result),
                 ("2opt", k_opt(inst, a0, 2).result),
                 ("3opt", k_opt(inst, a0, 3).result),
             ):
@@ -178,16 +176,15 @@ def _mean_error(weights, optimum):
 
 
 def test_criterion_6_table2_ordering_on_3r150():
-    fam = build_family("sdv", 3)
     errs = {"sdv": [], "2opt": [], "sdv3": [], "sdvv": []}
     with _Stopwatch(600.0, "criterion 6: 3r150 ordering from trivial"):
         for idx in range(1, 11):
             inst = generate(parse_instance_name("3r150", idx))
             a0 = trivial(inst)
-            errs["sdv"].append(dv_search(inst, a0, fam).final_weight)
+            errs["sdv"].append(dv_search(inst, a0, "sdv").final_weight)
             errs["2opt"].append(k_opt(inst, a0, 2).final_weight)
-            errs["sdv3"].append(combined(inst, a0, fam, "3opt").final_weight)
-            errs["sdvv"].append(combined(inst, a0, fam, "vopt").final_weight)
+            errs["sdv3"].append(combined(inst, a0, "sdv", "3opt").final_weight)
+            errs["sdvv"].append(combined(inst, a0, "sdv", "vopt").final_weight)
         means = {k: _mean_error(v, 150.0) for k, v in errs.items()}
         print(f"  criterion 6 detail: mean errors {means}")
         assert means["sdv3"] <= means["sdv"] <= means["2opt"]

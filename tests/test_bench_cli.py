@@ -66,6 +66,25 @@ def test_resolve_best_known_rejects_stored_below_lower_bound(tmp_path):
     assert resolve_best_known(str(reg), fam, inst, bound + 50) == bound
 
 
+def test_resolve_best_known_divides_by_a_better_best_stored_after_its_read(tmp_path, monkeypatch):
+    # a second writer stores 35 between the row's read and its update: the
+    # update is refused, and the row divides by the registry's 35, not its own 80
+    reg = str(tmp_path / "reg.txt")
+    fam = parse_instance_name("3c10", 1)
+    inst = generate(fam)
+    read = bench.read_registry
+
+    def stale_read(path):
+        table = read(path)
+        monkeypatch.setattr(bench, "read_registry", read)
+        assert update_best_known(path, "3c10", 1, 35.0) is True
+        return table
+
+    monkeypatch.setattr(bench, "read_registry", stale_read)
+    assert resolve_best_known(reg, fam, inst, 80.0) == 35.0
+    assert read_registry(reg)[("3c10", 1)] == 35.0
+
+
 def test_registry_bound_needs_no_generation(tmp_path, monkeypatch):
     # the family comes from the parsed name, not from a generated instance
     import mapls.bench as bench
@@ -286,6 +305,30 @@ def test_cli_solve_with_meta(tmp_path):
                 env_extra={"MAPLS_REGISTRY": str(tmp_path / "r.txt")})
     assert r.returncode == 0
     assert "chain;iters=5;seed=3" in r.stdout
+
+
+def test_rows_label_the_vopt_variant_and_the_multichain_width(tmp_path):
+    # natural v-opt rows and multichain rows say what ran; improved v-opt
+    # rows and chain rows keep their labels
+    reg = str(tmp_path / "r.txt")
+    cases = [
+        ("sdv+vopt", "natural", MetaConfig("chain", iteration_cap=2, rng_seed=5)),
+        ("sdv+vopt", "improved", MetaConfig("chain", iteration_cap=2, rng_seed=5)),
+        ("vopt", "natural", None),
+        ("1dv", "natural", MetaConfig("multichain", c=2, iteration_cap=4, rng_seed=1)),
+        ("1dv", "improved", MetaConfig("multichain", c=4, iteration_cap=4, rng_seed=1)),
+        ("1dv", "improved", MetaConfig("multichain", c=4, time_budget=0.05, rng_seed=1)),
+    ]
+    got = [(row.ls, row.meta) for ls, variant, meta in cases
+           for row in run_experiment(ExperimentSpec(["4c6"], [1], "greedy", ls, variant, meta, reg)).rows]
+    assert got == [
+        ("sdv+vopt;natural", "chain;iters=2;seed=5"),
+        ("sdv+vopt", "chain;iters=2;seed=5"),
+        ("vopt;natural", ""),
+        ("1dv", "multichain;c=2;iters=4;seed=1"),
+        ("1dv", "multichain;c=4;iters=4;seed=1"),
+        ("1dv", "multichain;c=4;time=0.05s;seed=1"),
+    ]
 
 
 def test_cli_solve_row_equals_bench_row(tmp_path):

@@ -13,7 +13,7 @@ from mapls import (
     known_optimum,
     parse_instance_name,
 )
-from mapls.generate import FamilySpec
+from mapls.generate import TAG_BY_FAMILY, FamilySpec
 from mapls.meta import perturb
 from mapls.rng import SplitMix64
 
@@ -29,6 +29,19 @@ def test_parse_examples():
     assert spec.family == Family.PLANTED
     assert parse_instance_name("6cq18").family == Family.CLIQUE  # published alias
     assert parse_instance_name("6c18").family == Family.CLIQUE
+
+
+def test_every_generated_name_round_trips():
+    # one tag per generated family, and only the parse-only alias "cq" besides
+    assert set(TAG_BY_FAMILY) == set(Family) - {Family.EXPLICIT}
+    assert len(set(TAG_BY_FAMILY.values())) == len(TAG_BY_FAMILY)
+    for family in TAG_BY_FAMILY:
+        for s, n in ((3, 1), (5, 40), (8, 150)):
+            spec = FamilySpec(family, s, n, 2)
+            back = parse_instance_name(spec.name, 2)
+            assert back == spec and back.name == spec.name
+    assert parse_instance_name("6cq18").name == "6c18"
+    assert parse_instance_name("6gp18").name == "6gp18"
 
 
 def test_parse_rejections():

@@ -1,5 +1,8 @@
 """Local searches: families, fixpoints, oracle certificates, combinations."""
 
+import hashlib
+import sys
+import threading
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -36,18 +39,17 @@ from conftest import brute_force_optimum, enumerate_neighborhood, explicit_insta
 
 
 def test_family_sdv_3():
-    fam = build_family("sdv", 3)
-    assert fam.sets == [(0,), (1,), (2,)]
+    assert build_family("sdv", 3) == ((0,), (1,), (2,))
 
 
 def test_family_2dv_4():
     fam = build_family("2dv", 4)
-    assert fam.sets == [(0,), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
+    assert fam == ((0,), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3))
     assert len(fam) == 2**3 - 1
 
 
 def test_family_1dv_5():
-    assert build_family("1dv", 5).sets == [(j,) for j in range(5)]
+    assert build_family("1dv", 5) == tuple((j,) for j in range(5))
 
 
 def test_family_counts():
@@ -61,14 +63,48 @@ def test_family_counts():
 def test_family_no_complements_no_trivial_sets():
     for variant in ("1dv", "2dv", "sdv"):
         for s in range(3, 9):
-            fam = build_family(variant, s)
-            sets = [frozenset(d) for d in fam.sets]
+            sets = [frozenset(d) for d in build_family(variant, s)]
             full = frozenset(range(s))
             assert frozenset() not in sets and full not in sets
             as_set = set(sets)
             assert len(as_set) == len(sets)
             for d in sets:
                 assert frozenset(full - d) not in as_set
+
+
+def test_families_and_search_names_pinned():
+    # every sweep order is part of the dimensionwise trajectories: sha256 of
+    # repr(build_family(v, s)), first 16 hex digits
+    digests = {
+        "1dv": ("4b0ca899f0603aa4", "8022557f33175c8b", "69806d619adb103a",
+                "5db05785c299464b", "a0851b09888560fd", "17c3cca0edd16ee8"),
+        "2dv": ("4b0ca899f0603aa4", "77d63be118df494d", "22175825b076028e",
+                "631f2c8b7d830935", "0be0b32667e8faa0", "fceb51ab0c4f0085"),
+        "sdv": ("4b0ca899f0603aa4", "77d63be118df494d", "22175825b076028e",
+                "24c3b87b08ab0740", "2c0146839d76fa2e", "da63f68bd6e68b19"),
+    }
+    for variant, want in digests.items():
+        got = tuple(hashlib.sha256(repr(build_family(variant, s)).encode()).hexdigest()[:16]
+                    for s in range(3, 9))
+        assert got == want, variant
+    assert localsearch.LS_NAMES == (
+        "none", "1dv", "2dv", "sdv", "2opt", "3opt", "vopt", "1dv+2opt", "2dv+2opt",
+        "1dv+3opt", "2dv+3opt", "sdv+3opt", "1dv+vopt", "2dv+vopt", "sdv+vopt",
+    )
+
+
+def test_dimensionwise_searches_read_the_family_from_the_instance():
+    # make_local_search does not read its s: a search built for another s
+    # sweeps the family of the instance it runs on
+    for name, ls in (("4c10", "1dv"), ("5sr8", "sdv"), ("6c6", "sdv+vopt"), ("3c8", "sdv")):
+        inst = generate(parse_instance_name(name, 1))
+        a = trivial(inst)
+        want = make_local_search(ls, inst.s)(inst, a)
+        for s in (3, 5):
+            got = make_local_search(ls, s)(inst, a)
+            assert got.result == want.result, (name, ls, s)
+            assert (got.final_weight, got.passes, got.ap2_calls) == \
+                (want.final_weight, want.passes, want.ap2_calls), (name, ls, s)
 
 
 # -- dv_search ---------------------------------------------------------------
@@ -78,7 +114,7 @@ def test_dv_fixpoint_unchanged():
     vals = np.zeros(27)
     inst = explicit_instance(3, 3, vals)
     a = Assignment.identity(3, 3)
-    r = dv_search(inst, a, build_family("sdv", 3))
+    r = dv_search(inst, a, "sdv")
     assert r.result == a
     assert r.passes == 1
     assert r.final_weight == r.initial_weight == 0.0
@@ -91,7 +127,7 @@ def test_dv_single_profitable_relabeling():
     vals[1 * 9 + 0 * 3 + 1] = 1.0
     vals[2 * 9 + 2 * 3 + 2] = 1.0
     inst = explicit_instance(3, 3, vals)
-    r = dv_search(inst, Assignment.identity(3, 3), build_family("1dv", 3))
+    r = dv_search(inst, Assignment.identity(3, 3), "1dv")
     assert r.final_weight == 3.0
     assert r.result.perms[1].tolist() == [1, 0, 2]
     assert r.final_weight == brute_force_optimum(inst)
@@ -106,9 +142,8 @@ def test_dv_fixpoint_certificate(rng):
     # at termination the 2-AP over every subset's matrix is solved by the
     # current assignment's weight
     inst = random_explicit(3, 5, rng)
-    fam = build_family("sdv", 3)
-    r = dv_search(inst, Assignment.identity(3, 5), fam)
-    for dims in fam.sets:
+    r = dv_search(inst, Assignment.identity(3, 5), "sdv")
+    for dims in build_family("sdv", 3):
         _, cost = solve_ap2(swap_weight_matrix(inst, r.result, dims))
         assert cost >= r.final_weight - 1e-9
 
@@ -117,7 +152,7 @@ def test_dv_monotone_and_valid(rng):
     for _ in range(10):
         inst = random_explicit(4, 4, rng)
         for variant in ("1dv", "2dv", "sdv"):
-            r = dv_search(inst, Assignment.identity(4, 4), build_family(variant, 4))
+            r = dv_search(inst, Assignment.identity(4, 4), variant)
             assert r.final_weight <= r.initial_weight + 1e-9
             r.result.validate()
             assert abs(assignment_weight(inst, r.result) - r.final_weight) < 1e-9
@@ -134,7 +169,7 @@ def _reference_dv_search(inst, a, family):
     while improved:
         improved = False
         passes += 1
-        for dims in family.sets:
+        for dims in family:
             m = swap_weight_matrix(inst, a, dims)
             sigma, cost = solve_ap2(m)
             ap2_calls += 1
@@ -154,7 +189,7 @@ def _assert_dv_matches_reference(inst, seed=0):
         opt = _reference_dv_search(inst, a, fam)[0]
         for start in [a] + [perturb(opt, rng) for _ in range(3)]:
             ref, ref_w, _, ref_calls, commits = _reference_dv_search(inst, start, fam)
-            r = dv_search(inst, start, fam)
+            r = dv_search(inst, start, variant)
             assert r.result == ref
             assert r.final_weight == ref_w
             assert r.ap2_calls == (commits[-1] if commits else 0) + len(fam) <= ref_calls
@@ -215,7 +250,7 @@ def test_combined_sdv_vopt_matches_reference():
             a, w = _reference_dv_search(inst, a, fam)[:2]
             if w >= x - EPS:
                 break
-        r = combined(inst, start, fam, vectorwise)
+        r = combined(inst, start, dv, vectorwise)
         assert r.result == a and r.final_weight == w, (name, index, dv, vectorwise)
         assert vectorwise == "vopt" or kopt_phases >= 2, (name, index, dv, vectorwise)
     assert later_gains >= 4
@@ -525,8 +560,38 @@ def test_kopt_workspace_interleaved_across_shapes():
             assert r.passes == ref_passes, name
         if name == "3c50":
             if reused is None:
-                reused = localsearch._WORKSPACE["w"]
-            assert localsearch._WORKSPACE["w"] is reused
+                reused = localsearch._WORKSPACE.w
+            assert localsearch._WORKSPACE.w is reused
+
+
+def test_kopt_concurrent_calls_match_sequential():
+    # each thread screens in its own workspace: calls on different shapes
+    # running at once return what they return one at a time
+    jobs = [(inst, construct(inst))
+            for inst in (generate(parse_instance_name(name, 1)) for name in ("3c20", "3sr15", "4c8", "3r20"))
+            for construct in (trivial, greedy)]
+    want = [k_opt(inst, a, 3) for inst, a in jobs]
+    got = [None] * len(jobs)
+
+    def run(i):
+        got[i] = k_opt(*jobs[i], 3)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, (r, ref) in enumerate(zip(got, want)):
+        assert r is not None, f"job {i} raised"
+        assert r.result == ref.result, i
+        assert (r.final_weight, r.passes, r.candidate_evals) == \
+            (ref.final_weight, ref.passes, ref.candidate_evals), i
 
 
 def test_chained_3opt_makes_far_fewer_weight_calls_than_candidates(monkeypatch):
@@ -950,31 +1015,29 @@ def test_vopt_requires_n_at_least_two():
 def test_combined_rejects_sdv_2opt():
     inst = explicit_instance(3, 3, np.zeros(27))
     with pytest.raises(ValueError):
-        combined(inst, Assignment.identity(3, 3), build_family("sdv", 3), "2opt")
+        combined(inst, Assignment.identity(3, 3), "sdv", "2opt")
 
 
 def test_combined_fixpoint_one_round():
     inst = explicit_instance(3, 3, np.zeros(27))
     a = Assignment.identity(3, 3)
-    r = combined(inst, a, build_family("sdv", 3), "3opt")
+    r = combined(inst, a, "sdv", "3opt")
     assert r.result == a and r.final_weight == 0.0
 
 
 def test_combined_beats_components(rng):
-    fam = build_family("sdv", 3)
     for _ in range(10):
         inst = random_explicit(3, 3, rng)
         a = Assignment.identity(3, 3)
-        wc = combined(inst, a, fam, "3opt").final_weight
-        assert wc <= dv_search(inst, a, fam).final_weight + 1e-9
+        wc = combined(inst, a, "sdv", "3opt").final_weight
+        assert wc <= dv_search(inst, a, "sdv").final_weight + 1e-9
         assert wc <= k_opt(inst, a, 3).final_weight + 1e-9
 
 
 def test_combined_result_is_bilateral_local_optimum(rng):
-    fam = build_family("sdv", 3)
     for _ in range(5):
         inst = random_explicit(3, 4, rng)
-        r = combined(inst, Assignment.identity(3, 4), fam, "3opt")
+        r = combined(inst, Assignment.identity(3, 4), "sdv", "3opt")
         w = r.final_weight
         for kind in ("sdv", "3opt"):
             assert all(
@@ -984,9 +1047,8 @@ def test_combined_result_is_bilateral_local_optimum(rng):
 
 
 def test_combined_with_vopt_monotone(rng):
-    fam = build_family("sdv", 4)
     inst = random_explicit(4, 4, rng)
-    r = combined(inst, Assignment.identity(4, 4), fam, "vopt")
+    r = combined(inst, Assignment.identity(4, 4), "sdv", "vopt")
     assert r.final_weight <= r.initial_weight
     r.result.validate()
 
@@ -1000,10 +1062,10 @@ def test_combined_later_kopt_phases_screen_less(monkeypatch):
              ("4c6", 5, "1dv", "2opt", trivial)]
     for name, index, dv, vectorwise, construct in cases:
         inst = generate(parse_instance_name(name, index))
-        fam, start = build_family(dv, inst.s), construct(inst)
-        r = combined(inst, start, fam, vectorwise)
+        start = construct(inst)
+        r = combined(inst, start, dv, vectorwise)
         monkeypatch.setattr(localsearch, "k_opt", lambda inst_, a, k, **_: plain_k_opt(inst_, a, k))
-        ref = combined(inst, start, fam, vectorwise)
+        ref = combined(inst, start, dv, vectorwise)
         monkeypatch.undo()
         assert r.result == ref.result and r.final_weight == ref.final_weight
         assert r.passes == ref.passes and r.ap2_calls == ref.ap2_calls

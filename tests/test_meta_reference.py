@@ -20,7 +20,6 @@ from mapls.localsearch import (
     EPS,
     VECTORWISE,
     _report,
-    build_family,
     combined,
     dv_search,
     k_opt,
@@ -124,13 +123,13 @@ def _ref_multichain(inst, a0, ls, cfg: MetaConfig) -> MetaResult:
                       stopped_at_bound=at_bound)
 
 
-def _ref_combined(inst, a, family, vectorwise, v_variant="improved"):
+def _ref_combined(inst, a, variant, vectorwise, v_variant="improved"):
     if vectorwise not in VECTORWISE:
         raise ValueError(f"unknown vectorwise heuristic {vectorwise!r}")
-    if family.variant == "sdv" and vectorwise == "2opt":
+    if variant == "sdv" and vectorwise == "2opt":
         raise ValueError("the combination sdv+2opt is rejected (no added neighborhood)")
     t0 = time.perf_counter()
-    r = dv_search(inst, a, family)
+    r = dv_search(inst, a, variant)
     a, w = r.result, r.final_weight
     w0 = r.initial_weight
     passes, ap2_calls, evals = r.passes, r.ap2_calls, r.candidate_evals
@@ -148,7 +147,7 @@ def _ref_combined(inst, a, family, vectorwise, v_variant="improved"):
         if w >= x - EPS:
             break
         x = w
-        rd = dv_search(inst, a, family)
+        rd = dv_search(inst, a, variant)
         a, w = rd.result, rd.final_weight
         passes += rd.passes
         ap2_calls += rd.ap2_calls
@@ -252,10 +251,9 @@ def test_combined_matches_reference(name, index):
     inst = generate(parse_instance_name(name, index))
     starts = [trivial(inst), greedy(inst), perturb(greedy(inst), SplitMix64(index))]
     for dv, vw, variant in COMBINED_SEARCHES:
-        family = build_family(dv, inst.s)
         for a in starts:
-            want = _ref_combined(inst, a, family, vw, variant)
-            got = combined(inst, a, family, vw, variant)
+            want = _ref_combined(inst, a, dv, vw, variant)
+            got = combined(inst, a, dv, vw, variant)
             assert got.result == want.result
             assert (got.initial_weight, got.final_weight, got.passes, got.ap2_calls,
                     got.candidate_evals) == (want.initial_weight, want.final_weight, want.passes,
