@@ -14,12 +14,14 @@ Three families:
   ones are re-weighed together, a segment of them per weight call. Later
   blocks see earlier commits, so the block boundaries are part of the
   search trajectory. All recombinations of a k-subset draw their rows from
-  k^s distinct vectors, and those are weighed once per subset. Handed its
-  one hint, a known k-opt local optimum (the chained `2opt`/`3opt` callable
-  passes its previous result, ``combined`` a later k-opt phase the previous
-  phase's), the first sweep screens only the subsets holding a row changed
-  since that optimum, and `candidate_evals` counts only the subsets
-  screened or re-verified. Every skip is exact;
+  k^s distinct vectors, and those are weighed once per subset. A block is
+  screened a fixed-size chunk of subsets at a time, every chunk on the
+  assignment at the block's start, so the screen's memory does not grow
+  with the block. Handed its one hint, a known k-opt local optimum (the
+  chained `2opt`/`3opt` callable passes its previous result, ``combined`` a
+  later k-opt phase the previous phase's), the first sweep screens only the
+  subsets holding a row changed since that optimum, and `candidate_evals`
+  counts only the subsets screened or re-verified. Every skip is exact;
 * ``combined``: alternate a dimensionwise and a vectorwise search until the
   assignment is a local optimum of both.
 """
@@ -46,7 +48,17 @@ from .core import (
 )
 
 EPS = 1e-9
+# recombination rows (the identity's included) per k-opt trajectory block,
+# and nothing else: a block is screened on the assignment at its start, so
+# this size decides which screens see which commits and so the results
 _BATCH_ROWS = 1_200_000
+# recombination rows per k-opt screen chunk and candidate vectors per v-opt
+# table block. It bounds the screen's per-thread buffers (1.55 MB for 3-opt
+# at s = 3 to 5) whatever the block size, and no result depends on it.
+# Smaller chunks pay numpy's per-call overhead more often: on a 2-vCPU VM,
+# chained 3-opt calls on 3c50, 4c15 and 3r40 took 0.90-0.98x the time of
+# whole-block screens at 2^16 to 2^18 rows a chunk, and 1.7-2.0x at 2^13
+_CHUNK_ROWS = 1 << 17
 
 DV_VARIANTS = ("1dv", "2dv", "sdv")
 V_VARIANTS = ("natural", "improved")
@@ -189,10 +201,12 @@ def k_opt(
     it: the report equals plain k_opt's but for `candidate_evals` and
     `elapsed`.
 
-    Each screen or re-weigh weighs a subset's k^s distinct vectors once
+    Each screen chunk or re-weigh weighs a subset's k^s distinct vectors
+    once and totals every recombination from those weights
     (`_recombination_weights`); a re-verify reuses the weights in hand while
     the subset's rows are unchanged and re-weighs stale subsets a segment
-    at a time (see `_sweep`). `candidate_evals` counts the recombination
+    at a time (see `_sweep`). The chunk size changes no result and no count
+    but that of the weight calls. `candidate_evals` counts the recombination
     rows assessed, R*k per subset screened or re-verified with
     R = (k!)^(s-1) - 1, however many weight calls that took; subsets a skip
     rule drops count nothing. The weights actually computed show in the
@@ -234,29 +248,32 @@ def _sweep(inst, a, w_rows, subsets, examine, floor, fresh):
     is re-verified on the live assignment before its best recombination
     commits. The block size, _BATCH_ROWS // ((R + 1) * k) subsets with R + 1
     counting the identity, is part of the trajectory: it decides which
-    screens see which commits.
+    screens see which commits. The screen runs _CHUNK_ROWS // ((R + 1) * k)
+    subsets at a time, all before the block's first commit, and keeps only
+    the cube weights and totals of its candidates (the subsets that screen
+    as improving, in block order), so its buffers do not grow with the
+    block.
 
-    The re-verify decides the block's candidates (the subsets that screened
-    as improving, in block order) from weights already in hand. Each row
-    carries the commit count when it last changed, each candidate the
-    commit count when its column was weighed. A candidate none of whose rows
-    changed since is decided from its column: a vector's weight does not
-    depend on the batch it is weighed in, and the sums over k run per
-    column, so the column is what a one-subset re-verify would compute. At
-    a stale candidate, the stale ones among the next `width` candidates are
-    re-weighed in one call on the live assignment; `width` doubles when no
-    commit came since the last re-weigh and halves otherwise. Results are
-    those of re-weighing each candidate on its own, weight call by weight
-    call.
+    The re-verify decides the candidates from weights already in hand. Each
+    row carries the commit count when it last changed, each candidate the
+    commit count when it was weighed. A candidate none of whose rows changed
+    since is decided from its weights: a vector's weight does not depend on
+    the batch it is weighed in, and the totals run per subset, so they are
+    what a one-subset re-verify would compute. At a stale candidate, the
+    stale ones among the next `width` candidates are re-weighed in one call
+    on the live assignment; `width` doubles, up to a chunk, when no commit
+    came since the last re-weigh and halves otherwise. Results are those of
+    re-weighing each candidate on its own, weight call by weight call.
 
     `fresh`, a boolean per row or None, drops from each block the subsets
     without a fresh row; commits mark their rows fresh for later blocks.
     The screen and the re-verify both test `min total - current < -EPS` on
-    sums taken in the same order, so a subset that screens as improving on
-    rows nothing has changed since always commits.
+    totals from one helper, so a subset that screens as improving on rows
+    nothing has changed since always commits.
     """
     n, s, k = inst.n, inst.s, subsets.shape[1]
     table = _recombinations(s, k)
+    index = _cube_tables(s, k)[1]
     # keep the subsets holding an examined row and a row above the floor
     examined = np.zeros(len(subsets), dtype=bool)
     live = np.zeros(len(subsets), dtype=bool)
@@ -268,6 +285,7 @@ def _sweep(inst, a, w_rows, subsets, examine, floor, fresh):
     evals = 0
     dims = np.arange(1, s)[:, None]
     step = max(1, _BATCH_ROWS // ((len(table) + 1) * k))
+    chunk = max(1, _CHUNK_ROWS // ((len(table) + 1) * k))
     commits = 0
     changed_at = np.zeros(n, dtype=np.int64)  # commits so far when each row last changed
     width = 1
@@ -277,30 +295,34 @@ def _sweep(inst, a, w_rows, subsets, examine, floor, fresh):
             block = block[fresh[block].any(axis=1)]
             if not len(block):
                 continue
-        w = _recombination_weights(inst, a, block, out=_workspace("w", (len(table) * k, len(block))))
-        evals += w.size
-        totals = np.sum(w, axis=1, out=_workspace("totals", (len(table), len(block))))
-        cand = np.flatnonzero(totals.min(axis=0) - w_rows[block].sum(axis=1) < -EPS)
-        evals += len(cand) * len(table) * k
-        weighed = np.full(len(cand), commits)  # commits so far when each column was weighed
+        # screen chunk by chunk, keeping the candidates' weights and totals
+        cands, cubes, sums = [], [], []
+        for c0 in range(0, len(block), chunk):
+            part = block[c0 : c0 + chunk]
+            cube_w, part_totals = _recombination_weights(inst, a, part)
+            hit = np.flatnonzero(part_totals.min(axis=0) - w_rows[part].sum(axis=1) < -EPS)
+            cands.append(part[hit])
+            cubes.append(cube_w[:, hit])
+            sums.append(part_totals[:, hit])
+        cand = np.concatenate(cands)  # (C, k) rows of each candidate
+        w = np.concatenate(cubes, axis=1)  # (k^s, C) cube weights
+        totals = np.concatenate(sums, axis=1)  # (R, C)
+        evals += (len(block) + len(cand)) * len(table) * k
+        weighed = np.full(len(cand), commits)  # commits so far when each candidate was weighed
         last = commits  # commits so far at the screen or the last re-weigh
-        for i, j in enumerate(cand):
-            rows = block[j]
+        for i, rows in enumerate(cand):
             if changed_at[rows].max() > weighed[i]:
                 # re-weigh the stale candidates among the next `width` on the live assignment
-                width = width * 2 if commits == last else max(1, width // 2)
+                width = min(chunk, width * 2) if commits == last else max(1, width // 2)
                 last = commits
                 seg = np.arange(i, min(i + width, len(cand)))
-                seg = seg[changed_at[block[cand[seg]]].max(axis=1) > weighed[seg]]
-                cols = cand[seg]
-                ws = _recombination_weights(inst, a, block[cols])
-                w[:, :, cols] = ws
-                totals[:, cols] = ws.sum(axis=1)
+                seg = seg[changed_at[cand[seg]].max(axis=1) > weighed[seg]]
+                w[:, seg], totals[:, seg] = _recombination_weights(inst, a, cand[seg])
                 weighed[seg] = commits
-            r = int(totals[:, j].argmin())
-            if totals[r, j] - w_rows[rows].sum() < -EPS:
+            r = int(totals[:, i].argmin())
+            if totals[r, i] - w_rows[rows].sum() < -EPS:
                 a.perms[1:, rows] = a.perms[dims, rows[table[r]]]
-                w_rows[rows] = w[r, :, j]
+                w_rows[rows] = w[index[:, r], i]
                 commits += 1
                 changed_at[rows] = commits
                 if fresh is not None:
@@ -314,7 +336,7 @@ def _cube_tables(s: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     vectors, whose entry (i_0, ..., i_{s-1}) takes its dim-j coordinate
     from row i_j. `picks` (s * k^s,): for dimension j and each entry in C
     order, the row j*k + i_j of the subsets' (s*k, c) coordinates (dim j
-    of row i at row j*k + i). `index` (R*k,): the entries holding the rows
+    of row i at row j*k + i). `index` (k, R): the entries holding the rows
     of the recombinations in `_recombinations(s, k)`, row m of
     recombination r being the entry (m, table[r, 0, m], ...,
     table[r, s-2, m])."""
@@ -324,16 +346,16 @@ def _cube_tables(s: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     index = np.arange(k, dtype=np.int64)
     for j in range(s - 1):
         index = index * k + table[:, j]
-    index = index.ravel()
+    index = np.ascontiguousarray(index.T)
     picks.flags.writeable = index.flags.writeable = False
     return picks, index
 
 
-# Flat buffers the k-opt screen reuses across blocks and calls, by name:
-# each grows to the largest request so far, bounded by the largest screen
-# block (_BATCH_ROWS cube vectors at most), so a screen block neither maps
-# nor faults fresh temporaries. Each thread has its own set, so concurrent
-# k_opt calls never write into each other's screens.
+# Flat buffers the k-opt screen reuses across chunks, blocks and calls, by
+# name: each grows to the largest request so far, bounded by a screen chunk
+# (_CHUNK_ROWS recombination rows, or one subset's when that is more), so a
+# chunk neither maps nor faults fresh temporaries. Each thread has its own
+# set, so concurrent k_opt calls never write into each other's screens.
 _WORKSPACE = threading.local()
 
 
@@ -348,25 +370,32 @@ def _workspace(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarra
     return buf[:size].reshape(shape)
 
 
-def _recombination_weights(inst, a, subsets, out=None) -> np.ndarray:
-    """(R, k, c) weights of every row of every recombination of each of the
-    c subsets of rows, written into `out`, an (R*k, c) float array, if given.
+def _recombination_weights(inst, a, subsets) -> tuple[np.ndarray, np.ndarray]:
+    """The (k^s, c) weights of the cube vectors of each of the c subsets of
+    rows, and the (R, c) totals of every recombination of each subset: the
+    one weighing path of the k-opt screen and its re-weighs.
 
-    All those rows are drawn from k^s distinct vectors per subset, the
-    subset's cube (`_cube_tables`). The cubes' coordinates are laid out
-    dimension-major and subset-minor in the `cube` workspace, weighed once,
-    and each recombination's rows gathered from the (k^s, c) weights: the
-    sum over k then runs over contiguous (R, c) planes. On numpy 2.4 it adds
-    w0 + w1 (+ w2) in that order, exactly as a sum over the last axis of the
-    C-contiguous (c, R, k) array does (the tests pin this). Every index is
-    in range, so the takes clip, which lets them write into `out` unbuffered."""
+    All recombination rows are drawn from k^s distinct vectors per subset,
+    the subset's cube (`_cube_tables`). The cubes' coordinates are laid out
+    dimension-major and subset-minor in the `cube` workspace and weighed
+    once. The totals are then built by k takes of the weights, one per row
+    of a recombination, added as w0 + w1 (+ w2): the order in which numpy
+    2.4 sums the last axis of a C-contiguous (c, R, k) array (the tests pin
+    this). Every index is in range, so the takes clip, which lets them write
+    into the workspace unbuffered. The totals are a view of the `totals`
+    workspace, which the next call overwrites; the weights are the call's
+    own."""
     s, (c, k) = inst.s, subsets.shape
     picks, index = _cube_tables(s, k)
     vecs = np.take(a.perms, subsets.T, axis=1, out=_workspace("vecs", (s, k, c), np.int64), mode="clip")
     cube = np.take(vecs.reshape(s * k, c), picks, axis=0, out=_workspace("cube", (s * k**s, c), np.int64),
                    mode="clip")
     w = inst.weight_batch(cube.reshape(s, -1).T).reshape(-1, c)  # (k^s, c)
-    return np.take(w, index, axis=0, out=out, mode="clip").reshape(-1, k, c)
+    totals = np.take(w, index[0], axis=0, out=_workspace("totals", (index.shape[1], c)), mode="clip")
+    term = _workspace("term", totals.shape)
+    for rows in index[1:]:
+        totals += np.take(w, rows, axis=0, out=term, mode="clip")
+    return w, totals
 
 
 # -- v-opt ------------------------------------------------------------------
@@ -392,10 +421,10 @@ def _pair_minima(inst: Instance, vecs: np.ndarray, ci: np.ndarray, mi: np.ndarra
                  masks: np.ndarray) -> np.ndarray:
     """min over D in masks of w(swap(vecs[ci], vecs[mi], D)) for each pair
     (ci[k], mi[k]); vecs is (n, s). Evaluated in blocks of at most
-    _BATCH_ROWS candidate vectors."""
+    _CHUNK_ROWS candidate vectors."""
     s, u = inst.s, len(masks)
     out = np.empty(len(ci))
-    step = max(1, _BATCH_ROWS // u)
+    step = max(1, _CHUNK_ROWS // u)
     for lo in range(0, len(ci), step):
         # mask-major layout: the min over masks reduces along the outer axis
         cand = np.where(masks[:, None, :], vecs[mi[lo : lo + step]], vecs[ci[lo : lo + step]])

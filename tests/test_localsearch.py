@@ -1,6 +1,7 @@
 """Local searches: families, fixpoints, oracle certificates, combinations."""
 
 import hashlib
+import math
 import sys
 import threading
 from itertools import combinations, permutations, product
@@ -29,7 +30,7 @@ from mapls import (
 from mapls import localsearch
 from mapls.core import row_weights
 from mapls.meta import MetaConfig, chain, multichain
-from mapls.localsearch import DV_VARIANTS, EPS, _swap_masks, make_local_search
+from mapls.localsearch import DV_VARIANTS, EPS, V_VARIANTS, _swap_masks, make_local_search
 from mapls.rng import SplitMix64
 
 from conftest import brute_force_optimum, enumerate_neighborhood, explicit_instance, random_explicit
@@ -506,6 +507,21 @@ def test_kopt_matches_reference_generated(name):
         _assert_kopt_matches_reference(generate(parse_instance_name(name, index)), seed=index)
 
 
+def _assert_screen_chunks_match(monkeypatch, inst, a, k, block, ref, **hint):
+    # every chunk is screened on the assignment at its block's start, so
+    # the chunk size changes no result and no count: forced to a few
+    # subsets, or to one more than the block holds, a call returns what the
+    # reference and the default chunk do
+    rows = math.factorial(k) ** (inst.s - 1) * k  # of one subset, the identity's included
+    plain = k_opt(inst, a, k, **hint)
+    for screen in (1, 2, 5, block + 1):
+        with monkeypatch.context() as m:
+            m.setattr(localsearch, "_CHUNK_ROWS", screen * rows)
+            r = k_opt(inst, a, k, **hint)
+        assert (r.result, r.final_weight, r.passes) == ref, screen
+        assert r.candidate_evals == plain.candidate_evals, screen
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 5])
 def test_3opt_small_blocks_match_reference(monkeypatch, rng, chunk):
     # blocks of `chunk` triples: later screens see earlier blocks' commits
@@ -517,10 +533,8 @@ def test_3opt_small_blocks_match_reference(monkeypatch, rng, chunk):
         monkeypatch.setattr(localsearch, "_BATCH_ROWS", chunk * 6 ** (inst.s - 1) * 3)
         for a, opt in _kopt_starts(inst, 3, seed=chunk):
             ref, ref_w, ref_passes, _ = _reference_k_opt(inst, a, 3, chunk=chunk)
-            r = k_opt(inst, a, 3, local_optimum=opt)
-            assert r.result == ref
-            assert r.final_weight == ref_w
-            assert r.passes == ref_passes
+            _assert_screen_chunks_match(monkeypatch, inst, a, 3, chunk, (ref, ref_w, ref_passes),
+                                        local_optimum=opt)
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 2, 5, 40])
@@ -538,17 +552,15 @@ def test_kopt_many_commits_per_block_match_reference(monkeypatch, rng, chunk):
             monkeypatch.setattr(localsearch, "_BATCH_ROWS", chunk * 6 ** (inst.s - 1) * 3)
         a = trivial(inst)
         ref, ref_w, ref_passes, _ = _reference_k_opt(inst, a, k, chunk=chunk)
-        r = k_opt(inst, a, k)
-        assert r.result == ref
-        assert r.final_weight == ref_w
-        assert r.passes == ref_passes
+        block = chunk or localsearch._BATCH_ROWS // (math.factorial(k) ** (inst.s - 1) * k)
+        _assert_screen_chunks_match(monkeypatch, inst, a, k, block, (ref, ref_w, ref_passes))
 
 
 def test_kopt_workspace_interleaved_across_shapes():
-    # the screen keeps its buffers across blocks, calls and shapes: calls on
-    # other (s, n, k) in between change no result. From the trivial
-    # assignment most candidates of a block go stale, so re-weighs run while
-    # the block's weights sit in the workspace.
+    # the screen keeps its buffers across chunks, blocks, calls and shapes:
+    # calls on other (s, n, k) in between change no result. From the trivial
+    # assignment most candidates of a block go stale, so re-weighs run
+    # through the buffers the block's chunks were screened in.
     reused = None
     for name, k in (("8c4", 2), ("3c50", 3), ("4c15", 2), ("3c50", 3), ("8c4", 2)):
         inst = generate(parse_instance_name(name, 1))
@@ -560,8 +572,8 @@ def test_kopt_workspace_interleaved_across_shapes():
             assert r.passes == ref_passes, name
         if name == "3c50":
             if reused is None:
-                reused = localsearch._WORKSPACE.w
-            assert localsearch._WORKSPACE.w is reused
+                reused = localsearch._WORKSPACE.totals
+            assert localsearch._WORKSPACE.totals is reused
 
 
 def test_kopt_concurrent_calls_match_sequential():
@@ -592,6 +604,40 @@ def test_kopt_concurrent_calls_match_sequential():
         assert r.result == ref.result, i
         assert (r.final_weight, r.passes, r.candidate_evals) == \
             (ref.final_weight, ref.passes, ref.candidate_evals), i
+
+
+def _screen_buffer_bytes(runs):
+    """Bytes of the k-opt screen buffers a fresh thread holds after the
+    3-opt calls on the (instance, start) pairs `runs`."""
+    held = []
+
+    def run():
+        for inst, a in runs:
+            k_opt(inst, a, 3)
+        held.append(sum(buf.nbytes for buf in vars(localsearch._WORKSPACE).values()))
+
+    t = threading.Thread(target=run)  # a thread of its own starts with no buffers
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive() and held
+    return held[0]
+
+
+def test_kopt_screen_buffers_stay_within_a_chunk(monkeypatch):
+    # the screen weighs a block a chunk at a time and keeps only its
+    # candidates' weights, so a thread's buffers are bounded by the chunk,
+    # whatever the block size. At k = 3 and s >= 3 a chunk row needs under
+    # one int64 of cube coordinates and under 2/3 of a float of totals and
+    # take terms: under 16 bytes in all
+    runs = [(inst, construct(inst))
+            for inst in (generate(parse_instance_name(name, 1)) for name in ("3c50", "5c12"))
+            for construct in (trivial, greedy)]
+    assert _screen_buffer_bytes(runs) <= 16 * localsearch._CHUNK_ROWS
+    # re-weighs stay within a chunk too: from the trivial assignment the
+    # stale candidates of a segment would run to hundreds of subsets
+    monkeypatch.setattr(localsearch, "_CHUNK_ROWS", 5 * 6**2 * 3)
+    inst = generate(parse_instance_name("3c20", 1))
+    assert _screen_buffer_bytes([(inst, trivial(inst))]) <= 16 * localsearch._CHUNK_ROWS
 
 
 def test_chained_3opt_makes_far_fewer_weight_calls_than_candidates(monkeypatch):
@@ -659,7 +705,9 @@ def test_recombination_weights_match_reference(rng, tag):
             subsets = np.array(list(combinations(range(n), k)), dtype=np.int64)
             if k == 3 and s > 5:
                 subsets = subsets[:1]
-            got = localsearch._recombination_weights(inst, a, subsets)
+            w = localsearch._recombination_weights(inst, a, subsets)[0]
+            # (R, k, c): row m of recombination r read from its cube entry
+            got = np.take(w, localsearch._cube_tables(s, k)[1].T, axis=0)
             want = _reference_recombination_weights(inst, a, subsets, localsearch._recombinations(s, k))
             want = np.ascontiguousarray(want.transpose(1, 2, 0))  # (R, k, c)
             assert got.shape == want.shape and got.flags.c_contiguous
@@ -668,10 +716,11 @@ def test_recombination_weights_match_reference(rng, tag):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_screen_sums_keep_the_reference_order(rng, k):
-    # `_sweep` sums the (R, k, c) weights over k; the frozen reference summed
-    # the C-contiguous (c, R, k) array over its last axis. Both must add
+    # `_sweep` totals each recombination from its subset's cube weights, one
+    # take per row added in row order; the frozen reference summed the
+    # C-contiguous (c, R, k) array over its last axis. Both must add
     # w0 + w1 (+ w2) in that order, and a one-subset re-verify must total
-    # exactly as that subset's column of its screen block.
+    # exactly as that subset's column of its screen chunk.
     for s in range(3, 7):
         n = 6 if k == 3 else 8
         inst = explicit_instance(s, n, rng.uniform(0.0, 1.0, size=n**s))
@@ -679,14 +728,13 @@ def test_screen_sums_keep_the_reference_order(rng, k):
         subsets = np.array(list(combinations(range(n), k)), dtype=np.int64)
         if s > 4:
             subsets = subsets[:: 3 * (s - 3)]
-        w = localsearch._recombination_weights(inst, a, subsets)
-        screen = w.sum(axis=1)  # (R, c), as _sweep sums a block
+        screen = localsearch._recombination_weights(inst, a, subsets)[1].copy()  # (R, c)
         ref = _reference_recombination_weights(inst, a, subsets, localsearch._recombinations(s, k))
         want = ref.sum(axis=2)  # (c, R)
         assert np.ascontiguousarray(screen.T).tobytes() == want.tobytes()
         for i in range(0, len(subsets), 7):
-            one = localsearch._recombination_weights(inst, a, subsets[i : i + 1])[:, :, 0]
-            assert one.sum(axis=1).tobytes() == want[i].tobytes()
+            one = localsearch._recombination_weights(inst, a, subsets[i : i + 1])[1][:, 0]
+            assert one.tobytes() == want[i].tobytes()
 
 
 def _chained_instances(rng, k):
@@ -1001,6 +1049,23 @@ def test_vopt_batches_once_per_chain_step(monkeypatch):
     assert one_row, "no chain ran out of rows: pick an instance with longer chains"
     assert all(sizes[i - 1] == n_masks for i in one_row)
     assert len(one_row) <= r.passes * inst.n
+
+
+@pytest.mark.parametrize("vectors", [1, 7, 100])
+def test_vopt_table_blocks_change_nothing(monkeypatch, vectors):
+    # each pair minimum is taken over its own masks, so the table comes out
+    # the same in blocks of any number of candidate vectors (1 and 7 weigh
+    # one pair a block, 100 a few pairs, with a short last block)
+    cases = [(inst, construct(inst))
+             for inst in (generate(parse_instance_name(name, 1)) for name in ("3r20", "4c8", "5r8"))
+             for construct in (trivial, greedy)]
+    want = [v_opt(inst, a, variant) for inst, a in cases for variant in V_VARIANTS]
+    monkeypatch.setattr(localsearch, "_CHUNK_ROWS", vectors)
+    got = [v_opt(inst, a, variant) for inst, a in cases for variant in V_VARIANTS]
+    for r, ref in zip(got, want):
+        assert r.result == ref.result
+        assert (r.final_weight, r.passes, r.candidate_evals) == \
+            (ref.final_weight, ref.passes, ref.candidate_evals)
 
 
 def test_vopt_requires_n_at_least_two():
