@@ -14,6 +14,13 @@ over lexicographic ranks, each family ending in its own `_weigh_ranks`
 step (random and planted weights hash the ranks in place, one cache-sized
 chunk at a time); product weights multiply one factor per dimension.
 
+Each family also builds the swap matrices of the dimensionwise searches
+(`swap_matrix`): the matrix of a dimension set D is an outer combination of
+a part read from each row's coordinates outside D and a part read from each
+column's coordinates inside D (ranks, pair-table indices or factor
+products), so no coordinate rows are built, and every entry is the float
+`batch` gives the same vector.
+
 Coordinates are 0-based everywhere in code; the text file formats speak
 1-based (see files.py).
 """
@@ -100,9 +107,56 @@ class WeightModel:
         float `batch` gives the same vector."""
         raise NotImplementedError
 
+    def swap_matrix(self, inst: "Instance", perms: np.ndarray, dims: frozenset) -> np.ndarray:
+        """(n, n) float64 matrix of the weights of swap(A^i, A^k, dims) for
+        the (s, n) perms of an assignment A: entry (i, k) is the vector of
+        row i with its coordinates in dims taken from row k, the float
+        `batch` gives that vector. Raises ValueError for a dimension
+        outside 0..s-1."""
+        raise NotImplementedError
+
     def min_weight_floor(self) -> float:
         """A lower bound on every vector weight; exact minimum not required."""
         raise NotImplementedError
+
+
+@lru_cache(maxsize=1024)
+def _swap_sides(s: int, dims: frozenset) -> tuple[bool, ...]:
+    """Per dimension, whether a swap matrix reads it from its column (the
+    dimension is in dims) rather than its row; refuses a dims that names
+    anything but a dimension 0..s-1, so every cached plan is valid."""
+    if not all(j in range(s) for j in dims):
+        raise ValueError(f"dimensions must lie in 0..{s - 1}, got {set(dims)}")
+    return tuple(j in dims for j in range(s))
+
+
+@lru_cache(maxsize=512)
+def _rank_selector(s: int, n: int, dims: frozenset) -> np.ndarray:
+    """(2, s) uint64 place values of the dimensions outside dims (row 0)
+    and inside it (row 1): times a uint64 view of an assignment's perms,
+    the row and column parts of its swap matrix's ranks. Read-only."""
+    inside = np.array(_swap_sides(s, dims))
+    strides = n ** np.arange(s - 1, -1, -1, dtype=np.uint64)
+    sel = np.where([~inside, inside], strides, np.uint64(0))
+    sel.flags.writeable = False
+    return sel
+
+
+@lru_cache(maxsize=512)
+def _pair_selector(s: int, n: int, dims: frozenset) -> tuple[np.ndarray, np.ndarray]:
+    """(2, pairs, s) int64 selector of the row part (0) and column part (1)
+    of a swap matrix's flat pair-table indices, and the (pairs, 1) table
+    offsets: pair (i, j) indexes its table at offset + n * x_i + x_j, each
+    coordinate read from the row outside dims and from the column inside
+    it. Read-only."""
+    inside = _swap_sides(s, dims)
+    sel = np.zeros((2, s * (s - 1) // 2, s), dtype=np.int64)
+    for p, (i, j) in enumerate(combinations(range(s), 2)):
+        sel[int(inside[i]), p, i] = n
+        sel[int(inside[j]), p, j] = 1
+    offsets = (np.arange(sel.shape[1]) * n * n)[:, None]
+    sel.flags.writeable = offsets.flags.writeable = False
+    return sel, offsets
 
 
 class _RankWeights(WeightModel):
@@ -112,10 +166,12 @@ class _RankWeights(WeightModel):
     A batch ranks its (m, s) coordinates by one product with the place
     values, run on a uint64 view of them, so nothing is copied. A grid adds
     the per-dimension terms S_j * stride_j by outer sums into a rank grid in
-    C order. Both wrap mod 2^64 alike, so they give the same ranks, exact
-    while n^s <= 2^64. Each hands its fresh C-contiguous rank array, with a
-    view of the vectors' dimension-0 values that broadcasts against it, to
-    the model's `_weigh_ranks`.
+    C order. A swap matrix's ranks are the outer sum of a row part and a
+    column part, both from one product of the perms with a (2, s) selector
+    of place values (`_rank_selector`). All wrap mod 2^64 alike, so they
+    give the same ranks, exact while n^s <= 2^64. Each hands its fresh
+    C-contiguous rank array, with a view of the vectors' dimension-0 values
+    that broadcasts against it, to the model's `_weigh_ranks`.
     """
 
     def __init__(self, s: int, n: int):
@@ -138,6 +194,12 @@ class _RankWeights(WeightModel):
         for x, stride in zip(sets[1:], self._strides[1:]):
             rank = np.add.outer(rank, x.view(np.uint64) * stride)
         return self._weigh_ranks(inst, rank, _along(sets[0], 0, rank.ndim))
+
+    def swap_matrix(self, inst, perms, dims):
+        s, n = self.shape
+        rows, cols = _rank_selector(s, n, dims) @ perms.view(np.uint64)
+        first = perms[0][None, :] if 0 in dims else perms[0][:, None]
+        return self._weigh_ranks(inst, np.add.outer(rows, cols), first)
 
 
 class LazyRandom(_RankWeights):
@@ -261,9 +323,12 @@ class CliqueSum(WeightModel):
     blocks of `_PAIR_BLOCK` rows: one flat index per (pair, row) over the
     transposed block, one `take` from the stack, and one sum over the pair
     axis, which adds the pairs in pair order as a running sum would, so
-    every weight is the same float. A grid adds one broadcast table slice
-    per pair, in pair order, into its output: the same sums in the same
-    order.
+    every weight is the same float. A swap matrix takes its (pairs, n, n)
+    indices as the outer sum of a row part and a column part, each one
+    product of the perms with a (pairs, s) selector (`_pair_selector`),
+    then runs the batch's take and sum. A grid adds one broadcast table
+    slice per pair, in pair order, into its output: the same sums in the
+    same order.
     """
 
     family = Family.CLIQUE
@@ -316,12 +381,26 @@ class CliqueSum(WeightModel):
             idx = block[self._first] * n
             idx += block[self._second]
             idx += self._offsets
-            terms = self._stack.take(idx)
-            if terms.shape[1] == 1:
-                # numpy sums a lone column pairwise, not in pair order
-                out[lo] = np.cumsum(terms[:, 0])[-1]
-            else:
-                np.add.reduce(terms, axis=0, out=out[lo : lo + _PAIR_BLOCK])
+            self._sum_pairs(idx, out[lo : lo + _PAIR_BLOCK])
+        return self._finish(out)
+
+    def _sum_pairs(self, idx: np.ndarray, out: np.ndarray) -> None:
+        """Add the stack's entries at the (pairs, ...) flat indices idx over
+        the pair axis, in pair order, into out: one take and one reduce."""
+        terms = self._stack.take(idx)
+        if out.size == 1:
+            # numpy sums a lone column pairwise, not in pair order
+            out[...] = np.cumsum(terms.ravel())[-1]
+        else:
+            np.add.reduce(terms, axis=0, out=out)
+
+    def swap_matrix(self, inst, perms, dims):
+        s, n = self.shape
+        sel, offsets = _pair_selector(s, n, dims)
+        rows, cols = sel @ perms
+        rows += offsets
+        out = np.empty((n, n))
+        self._sum_pairs(rows[:, :, None] + cols[:, None, :], out)
         return self._finish(out)
 
     def grid(self, inst, sets):
@@ -404,6 +483,12 @@ class ProductWeights(WeightModel):
             heaviest *= float(f.max()) if len(f) else 0.0
         if not np.isfinite(heaviest):
             raise ValueError("product factors too large: the heaviest vector weight overflows")
+        # integral factors and n times the heaviest weight below 2^53: every
+        # product of factors and every sum of n products is an exact float64
+        # integer, whatever the order, so a 2-AP's optimal cost is one float
+        # (dv_search decides some solves by sorting on this)
+        integral = all((f == np.trunc(f)).all() for f in self.factors)
+        self._exact_sums = integral and self.shape[1] * heaviest < 2**53
 
     def batch(self, inst, coords):
         acc = self.factors[0][coords[:, 0]].copy()
@@ -416,6 +501,18 @@ class ProductWeights(WeightModel):
         for f, x in zip(self.factors[1:], sets[1:]):
             acc = np.multiply.outer(acc, f[x])
         return acc
+
+    def swap_matrix(self, inst, perms, dims):
+        # each dimension's factors as a row (read from the column) or a
+        # column (read from the row), multiplied by broadcasting in
+        # dimension order, as batch multiplies them
+        acc = None
+        for f, x, inside in zip(self.factors, perms, _swap_sides(self.shape[0], dims)):
+            v = f[x] if inside else f[x][:, None]
+            acc = v if acc is None else acc * v
+        n = self.shape[1]
+        # with every dimension on one side, no product has broadcast yet
+        return acc if acc.shape == (n, n) else np.broadcast_to(acc, (n, n)).copy()
 
     def min_weight_floor(self):
         out = 1.0
@@ -557,14 +654,16 @@ def apply_dimension_permutation(a: Assignment, dims: Iterable[int], rho: np.ndar
     """Re-permute the listed dimensions jointly by rho.
 
     The result's vector set is { swap(A^i, A^rho(i), dims) : i }, renormalized
-    so that row 0 stays the identity permutation.
+    so that row 0 stays the identity permutation. Raises ValueError for a
+    dimension outside 0..s-1.
     """
     rho = _validate_perm(rho, a.n)
     perms = a.perms.copy()
-    dims = set(dims)
-    for j in dims:
-        perms[j] = perms[j][rho]
-    if 0 in dims:
+    inside = _swap_sides(a.s, frozenset(dims))
+    for j, moved in enumerate(inside):
+        if moved:
+            perms[j] = perms[j][rho]
+    if inside[0]:
         inv = np.empty(a.n, dtype=np.int64)
         inv[perms[0]] = np.arange(a.n)
         perms = perms[:, inv]
@@ -572,14 +671,7 @@ def apply_dimension_permutation(a: Assignment, dims: Iterable[int], rho: np.ndar
 
 
 def swap_weight_matrix(inst: Instance, a: Assignment, dims: Iterable[int]) -> np.ndarray:
-    """(n, n) matrix M with M[i, j] = weight(swap(A^i, A^j, dims))."""
-    n, s = inst.n, inst.s
-    dims = set(dims)
-    coords = np.empty((s, n, n), dtype=np.int64)
-    for j in range(s):
-        if j in dims:
-            coords[j] = a.perms[j][None, :]
-        else:
-            coords[j] = a.perms[j][:, None]
-    flat = coords.reshape(s, n * n).T
-    return inst.weight_batch(flat).reshape(n, n)
+    """(n, n) matrix M with M[i, j] = weight(swap(A^i, A^j, dims)), built by
+    the model's `swap_matrix`. Raises ValueError for a dimension outside
+    0..s-1."""
+    return inst.weights.swap_matrix(inst, a.perms, frozenset(dims))

@@ -31,6 +31,22 @@ def brute_force_optimum(inst: Instance) -> float:
     return float(best)
 
 
+def reference_swap_weight_matrix(inst: Instance, a: Assignment, dims) -> np.ndarray:
+    """Frozen copy of swap_weight_matrix as it was before the per-family
+    swap-matrix kernels: it builds the (s, n, n) coordinates of every swapped
+    vector and weighs them in one batch."""
+    n, s = inst.n, inst.s
+    dims = set(dims)
+    coords = np.empty((s, n, n), dtype=np.int64)
+    for j in range(s):
+        if j in dims:
+            coords[j] = a.perms[j][None, :]
+        else:
+            coords[j] = a.perms[j][:, None]
+    flat = coords.reshape(s, n * n).T
+    return inst.weight_batch(flat).reshape(n, n)
+
+
 def brute_force_ap2(matrix: np.ndarray) -> float:
     m = np.asarray(matrix, dtype=float)
     n = m.shape[0]

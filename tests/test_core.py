@@ -28,7 +28,7 @@ from mapls import (
 from mapls import core
 from mapls.rng import mix64, mix64_array
 
-from conftest import explicit_instance, from_perm_rows, swap_vectors
+from conftest import explicit_instance, from_perm_rows, reference_swap_weight_matrix, swap_vectors
 
 
 def clique_instance(s, mats):
@@ -610,6 +610,80 @@ def test_swap_weight_matrix_matches_scalar(rng):
         for i in range(4):
             for j in range(4):
                 assert m[i, j] == inst.weight(swap_vectors(a.perms[:, i], a.perms[:, j], dims))
+
+
+def _swap_model(tag, s, n, rng):
+    """One weight model of each kind the swap-matrix kernels build for."""
+    def tables(draw):
+        return {pair: draw((n, n)) for pair in combinations(range(s), 2)}
+
+    def signed_zeros(shape):
+        return np.where(rng.random(shape) < 0.5, -0.0, rng.integers(0, 50, shape).astype(float))
+
+    if tag == "r":
+        return LazyRandom(s, n, 1, 100)
+    if tag == "gp":
+        perms = np.vstack([np.arange(n)] + [rng.permutation(n) for _ in range(s - 1)])
+        return Planted(1, 100, Assignment(perms))
+    if tag == "explicit":
+        return ExplicitTensor(s, n, rng.uniform(0.0, 1.0, size=n**s))
+    if tag == "explicit-zero":
+        return ExplicitTensor(s, n, signed_zeros(n**s))
+    if tag == "c":
+        return CliqueSum(s, tables(lambda shape: rng.integers(0, 100, shape).astype(float)))
+    if tag == "c-float":
+        return CliqueSum(s, tables(lambda shape: rng.uniform(0.0, 1.0, shape)))
+    if tag == "c-zero":
+        return CliqueSum(s, tables(signed_zeros))
+    if tag == "sr":
+        return SquareRootSquares(s, tables(lambda shape: rng.integers(0, 100, shape).astype(float)))
+    if tag == "sr-zero":
+        return SquareRootSquares(s, tables(signed_zeros))
+    if tag == "g":
+        return GeometricPoints([rng.uniform(0.0, 100.0, size=(n, 2)) for _ in range(s)])
+    if tag == "p":
+        return ProductWeights([rng.integers(1, 11, n).astype(float) for _ in range(s)])
+    assert tag == "p-float"
+    return ProductWeights([rng.uniform(0.1, 3.0, n) for _ in range(s)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tag", ["r", "gp", "explicit", "explicit-zero", "c", "c-float", "c-zero",
+                                 "sr", "sr-zero", "g", "p", "p-float"])
+def test_swap_matrix_kernels_match_reference(tag):
+    # every kernel gives the frozen coordinate build's floats, byte for byte,
+    # for a subset of every size, from none to all s dimensions
+    for s in range(3, 9):
+        for n in (1, 2, _GRID_SIZES[s], 75):
+            if tag.startswith("explicit") and n**s > 500_000:
+                continue
+            rng = np.random.default_rng([s, n, len(tag)])
+            inst = Instance(_swap_model(tag, s, n, rng), 0)
+            a = Assignment(np.vstack([np.arange(n)] + [rng.permutation(n) for _ in range(s - 1)]))
+            for size in range(s + 1):
+                for dims in {tuple(sorted(rng.choice(s, size, replace=False))) for _ in range(3)}:
+                    got = swap_weight_matrix(inst, a, dims)
+                    want = reference_swap_weight_matrix(inst, a, dims)
+                    assert got.shape == (n, n) and got.dtype == np.float64
+                    assert got.tobytes() == want.tobytes(), (tag, s, n, dims)
+
+
+def test_swap_dimensions_outside_range_refused():
+    inst = generate(parse_instance_name("3c5", 1))
+    a = Assignment(np.vstack([np.arange(5), [1, 0, 2, 4, 3], [4, 3, 2, 1, 0]]))
+    for dims in ((5,), (-1,), (0, 3), (1, -3), ("1",), (1.5,)):
+        with pytest.raises(ValueError, match="dimensions"):
+            swap_weight_matrix(inst, a, dims)
+        with pytest.raises(ValueError, match="dimensions"):
+            apply_dimension_permutation(a, dims, np.arange(5))
+    # sets, lists, generators and numpy integers all name the same dimensions
+    want = reference_swap_weight_matrix(inst, a, (0, 2))
+    rho = np.array([2, 0, 1, 4, 3])
+    moved = apply_dimension_permutation(a, (0, 2), rho)
+    forms = (lambda: {2, 0}, lambda: [2, 0, 2], lambda: (j for j in (0, 2)), lambda: np.array([0, 2]))
+    for dims in forms:
+        assert swap_weight_matrix(inst, a, dims()).tobytes() == want.tobytes()
+        assert apply_dimension_permutation(a, dims(), rho) == moved
 
 
 def test_assignment_validation():

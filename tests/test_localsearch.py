@@ -27,13 +27,20 @@ from mapls import (
     trivial,
     v_opt,
 )
-from mapls import localsearch
+from mapls import ProductWeights, localsearch
+from mapls import ap2
 from mapls.core import row_weights
 from mapls.meta import MetaConfig, chain, multichain
 from mapls.localsearch import DV_VARIANTS, EPS, V_VARIANTS, _swap_masks, make_local_search
 from mapls.rng import SplitMix64
 
-from conftest import brute_force_optimum, enumerate_neighborhood, explicit_instance, random_explicit
+from conftest import (
+    brute_force_optimum,
+    enumerate_neighborhood,
+    explicit_instance,
+    random_explicit,
+    reference_swap_weight_matrix,
+)
 
 
 # -- subset families ----------------------------------------------------------
@@ -160,7 +167,8 @@ def test_dv_monotone_and_valid(rng):
 
 
 # Frozen copy of the dv_search that re-solved a whole clean pass after its
-# last commit; it also returns the 0-based solve positions of its commits.
+# last commit, on the frozen swap matrix and a 2-AP solve per subset; it also
+# returns the 0-based solve positions of its commits.
 def _reference_dv_search(inst, a, family):
     a = a.copy()
     w = assignment_weight(inst, a)
@@ -171,7 +179,7 @@ def _reference_dv_search(inst, a, family):
         improved = False
         passes += 1
         for dims in family:
-            m = swap_weight_matrix(inst, a, dims)
+            m = reference_swap_weight_matrix(inst, a, dims)
             sigma, cost = solve_ap2(m)
             ap2_calls += 1
             if cost < w - EPS:
@@ -207,10 +215,82 @@ def test_dv_matches_reference_explicit(rng):
         _assert_dv_matches_reference(inst, seed=s)
 
 
-@pytest.mark.parametrize("name", ["3r12", "4gp6", "3c10", "4g6", "3sr10", "5p5"])
+@pytest.mark.parametrize("name", ["3r12", "4gp6", "3c10", "4g6", "3sr10", "5p5",
+                                  "3p12", "4p8", "6p4", "7p4", "8p3"])
 def test_dv_matches_reference_generated(name):
     for index in (1, 2):
         _assert_dv_matches_reference(generate(parse_instance_name(name, index)), seed=index)
+
+
+def _count_solver_calls(monkeypatch):
+    """Count the compiled 2-AP solver's calls from here on."""
+    calls = []
+    solver = ap2.linear_sum_assignment
+
+    def counted(m):
+        calls.append(len(m))
+        return solver(m)
+
+    monkeypatch.setattr(ap2, "linear_sum_assignment", counted)
+    return calls
+
+
+def _dv_reports(inst, seed):
+    """dv_search reports, without their elapsed times: 1dv from trivial,
+    then every variant from trivial and from three perturbations of that
+    optimum."""
+    rng = SplitMix64(seed)
+    first = dv_search(inst, trivial(inst), "1dv")
+    starts = [trivial(inst)] + [perturb(first.result, rng) for _ in range(3)]
+    return [(r.result, r.initial_weight, r.final_weight, r.passes, r.ap2_calls, r.candidate_evals)
+            for r in [first] + [dv_search(inst, a, v) for v in DV_VARIANTS for a in starts]]
+
+
+@pytest.mark.parametrize("name", ["3p12", "4p8", "5p5", "6p4", "7p4", "8p3", "3p75"])
+def test_dv_sorted_decisions_keep_every_report_field(name, monkeypatch):
+    # a product solve that sorting shows cannot improve runs no matrix and no
+    # solver, and every report field but elapsed stays as when each is solved
+    inst = generate(parse_instance_name(name, 1))
+    assert inst.weights._exact_sums
+    calls = _count_solver_calls(monkeypatch)
+    sorted_reports = _dv_reports(inst, seed=1)
+    sorted_calls = len(calls)
+    monkeypatch.setattr(inst.weights, "_exact_sums", False)
+    assert _dv_reports(inst, seed=1) == sorted_reports
+    assert len(calls) - sorted_calls == sum(r[4] for r in sorted_reports)
+    assert sorted_calls < 0.8 * (len(calls) - sorted_calls)
+
+
+def test_dv_inexact_products_solve_every_subset(monkeypatch):
+    # non-integral factors, or products whose sums can reach 2^53, leave the
+    # sorted cost inexact: every subset is solved by the solver
+    rng = np.random.default_rng(3)
+    s, n = 4, 6
+    cases = [[rng.uniform(0.5, 4.0, n) for _ in range(s)],
+             [np.floor(rng.uniform(1.0, 10.0, n)) + 0.5 for _ in range(s)],
+             # heaviest 2^51: n times it passes 2^53
+             [np.where(np.arange(n) == 0, 2.0**13 - 1, rng.integers(1, 2**12, n)).astype(float) for _ in range(s - 1)]
+             + [np.full(n, 2.0**12)]]
+    for factors in cases:
+        inst = Instance(ProductWeights(factors), 0)
+        assert not inst.weights._exact_sums
+        calls = _count_solver_calls(monkeypatch)
+        for variant in DV_VARIANTS:
+            a = perturb(trivial(inst), SplitMix64(1))
+            r = dv_search(inst, a, variant)
+            assert r.ap2_calls == len(calls) and r.candidate_evals == n * n * r.ap2_calls
+            calls.clear()
+
+
+def test_product_exact_sums_bound():
+    # the sorted decision is used only while n times the heaviest product
+    # stays below 2^53 and every factor is an integer
+    # 4 * (2^51 - 1) = 2^53 - 4, and 2^51 - 1 = 1545103 * 11119 * 131071
+    for maxima, exact in (((1545103, 11119, 131071), True), ((2**17, 2**17, 2**17), False)):
+        factors = [np.array([1.0, 2.0, 3.0, m]) for m in maxima]
+        assert ProductWeights(factors)._exact_sums == exact
+        factors[1][0] = 1.5
+        assert not ProductWeights(factors)._exact_sums
 
 
 def test_combined_sdv_vopt_matches_reference():
@@ -395,7 +475,7 @@ def _reference_sweep_2opt(inst, a, w_rows, examine, floor):
         return changed
     deltas = np.empty((len(subsets), n, n))
     for d_idx, dims in enumerate(subsets):
-        m = swap_weight_matrix(inst, a, dims)
+        m = reference_swap_weight_matrix(inst, a, dims)
         deltas[d_idx] = m + m.T - w_rows[:, None] - w_rows[None, :]
     cand = deltas.min(axis=0) < -EPS
     cand &= np.triu(np.ones((n, n), dtype=bool), 1)
