@@ -56,17 +56,26 @@ def _round_half_up(x: np.ndarray) -> np.ndarray:
 
 
 def _along(x: np.ndarray, axis: int, ndim: int) -> np.ndarray:
-    """View of the 1-D x along `axis` of an ndim-dimensional grid, with a
-    length-1 axis for every other dimension, for broadcasting."""
-    return x.reshape([-1 if d == axis else 1 for d in range(ndim)])
+    """View of the value array x along `axis` of an ndim-dimensional grid,
+    with a length-1 axis for every other dimension, for broadcasting; a
+    2-D x keeps its batch axis, after the grid's."""
+    return x.reshape((1,) * axis + (-1,) + (1,) * (ndim - axis - 1) + x.shape[1:])
 
 
 def _spread(sets: list[np.ndarray]) -> tuple[list, list[int]]:
     """Indexes into the grid of `sets` without its length-1 axes, and that
-    grid's shape: a one-element set's value, or the set along its own axis."""
+    grid's shape, batch axis included: a one-element set's value (its row
+    of values under a batch axis), or the set along its own axis."""
     shape = [len(x) for x in sets if len(x) != 1]
     axes = iter(range(len(shape)))
-    return [x[0] if len(x) == 1 else _along(x, next(axes), len(shape)) for x in sets], shape
+    return ([x[0] if len(x) == 1 else _along(x, next(axes), len(shape)) for x in sets],
+            shape + list(sets[0].shape[1:]))
+
+
+# by the value arrays' ndim, the index that gives a grid of weights or ranks
+# a new last grid axis of length 1, before the batch axis if there is one:
+# the operand that np.add.outer or np.multiply.outer would broadcast
+_NEW_AXIS = {1: (..., None), 2: (..., None, slice(None))}
 
 
 # rows per block of a pairwise-table batch: bounds the (pairs, rows) index
@@ -104,7 +113,10 @@ class WeightModel:
     def grid(self, inst: "Instance", sets: list[np.ndarray]) -> np.ndarray:
         """Weights of the product of s int64 value arrays, as a float64
         array of shape (len(S_0), ..., len(S_{s-1})) in C order, each the
-        float `batch` gives the same vector."""
+        float `batch` gives the same vector. The arrays may instead all be
+        2-D, (len(S_j), c), sharing a trailing batch axis: the weights then
+        have shape (len(S_0), ..., len(S_{s-1}), c), column b the grid of
+        the arrays' columns b."""
         raise NotImplementedError
 
     def swap_matrix(self, inst: "Instance", perms: np.ndarray, dims: frozenset) -> np.ndarray:
@@ -166,10 +178,11 @@ class _RankWeights(WeightModel):
     A batch ranks its (m, s) coordinates by one product with the place
     values, run on a uint64 view of them, so nothing is copied. A grid adds
     the per-dimension terms S_j * stride_j by outer sums into a rank grid in
-    C order. A swap matrix's ranks are the outer sum of a row part and a
-    column part, both from one product of the perms with a (2, s) selector
-    of place values (`_rank_selector`). All wrap mod 2^64 alike, so they
-    give the same ranks, exact while n^s <= 2^64. Each hands its fresh
+    C order, the batch axis, if any, kept last. A swap matrix's ranks are
+    the outer sum of a row part and a column part, both from one product of
+    the perms with a (2, s) selector of place values (`_rank_selector`).
+    All wrap mod 2^64 alike, so they give the same ranks, exact while
+    n^s <= 2^64. Each hands its fresh
     C-contiguous rank array, with a view of the vectors' dimension-0 values
     that broadcasts against it, to the model's `_weigh_ranks`.
     """
@@ -190,10 +203,11 @@ class _RankWeights(WeightModel):
         return self._weigh_ranks(inst, self._ranks(coords), coords[:, 0])
 
     def grid(self, inst, sets):
+        new = _NEW_AXIS[sets[0].ndim]
         rank = sets[0].view(np.uint64) * self._strides[0]
         for x, stride in zip(sets[1:], self._strides[1:]):
-            rank = np.add.outer(rank, x.view(np.uint64) * stride)
-        return self._weigh_ranks(inst, rank, _along(sets[0], 0, rank.ndim))
+            rank = rank[new] + x.view(np.uint64) * stride
+        return self._weigh_ranks(inst, rank, _along(sets[0], 0, len(sets)))
 
     def swap_matrix(self, inst, perms, dims):
         s, n = self.shape
@@ -328,7 +342,7 @@ class CliqueSum(WeightModel):
     product of the perms with a (pairs, s) selector (`_pair_selector`),
     then runs the batch's take and sum. A grid adds one broadcast table
     slice per pair, in pair order, into its output: the same sums in the
-    same order.
+    same order, with or without a batch axis.
     """
 
     family = Family.CLIQUE
@@ -353,6 +367,9 @@ class CliqueSum(WeightModel):
         # sum gives, so the in-order sum of a lone row cannot end on -0.0
         with np.errstate(over="ignore"):
             self._stack = self._terms(np.concatenate([d.ravel() for d in self.mats.values()]) + 0.0)
+            # each pair's flat table in the stack, with its two dimensions, for the grid
+            self._pair_tables = list(zip(self._stack.reshape(len(pairs), -1), self._first.tolist(),
+                                         self._second.tolist()))
             # every weight is at most this one, as sums and finishes are monotone
             heaviest = self._table_sum(np.max) if n else 0.0
         if not np.isfinite(heaviest):
@@ -406,16 +423,20 @@ class CliqueSum(WeightModel):
     def grid(self, inst, sets):
         n = self.shape[1]
         # the sum runs on the grid without the one-element sets' axes, each
-        # of those indexing by its value: indexing a table by two spread
-        # sets gives the pair's slice already broadcast to that grid
+        # of those indexing by its value: the flat indices n * x_i + x_j of
+        # two spread sets pick the pair's slice already broadcast to that
+        # grid. Indexing the pair's own flat table by one index array costs
+        # less than indexing its square by two broadcast ones (under half on
+        # a full k-opt screen chunk at s = 3), and n * x_i is formed once
+        # per set, so the constructions' grids lose nothing
         ix, shape = _spread(sets)
-        terms = (table[ix[i], ix[j]]
-                 for table, i, j in zip(self._stack.reshape(-1, n, n), self._first.tolist(), self._second.tolist()))
+        scaled = [x * n for x in ix[:-1]]
+        terms = (table[scaled[i] + ix[j]] for table, i, j in self._pair_tables)
         # the first two pairs added into the output, the rest in place
         out = np.add(next(terms), next(terms), out=np.empty(shape))
         for term in terms:
             out += term
-        return self._finish(out.reshape([len(x) for x in sets]))
+        return self._finish(out.reshape([len(x) for x in sets] + list(sets[0].shape[1:])))
 
     def min_weight_floor(self):
         return self._table_sum(np.min)
@@ -497,9 +518,10 @@ class ProductWeights(WeightModel):
         return acc
 
     def grid(self, inst, sets):
+        new = _NEW_AXIS[sets[0].ndim]
         acc = self.factors[0][sets[0]]
         for f, x in zip(self.factors[1:], sets[1:]):
-            acc = np.multiply.outer(acc, f[x])
+            acc = acc[new] * f[x]
         return acc
 
     def swap_matrix(self, inst, perms, dims):
@@ -568,10 +590,24 @@ class Instance:
         as a float64 array of shape (len(S_0), ..., len(S_{s-1})) in C order
         (dimension 0 most significant): entry (p_0, ..., p_{s-1}) is the
         weight of the vector (S_0[p_0], ..., S_{s-1}[p_{s-1}]), the same
-        float weight_batch gives it. Every value must lie in [0, n); nothing
-        checks it, and other values give undefined results, as in
-        weight_batch."""
-        return self.weights.grid(self, [np.asarray(x, dtype=np.int64) for x in sets])
+        float weight_batch gives it.
+
+        The arrays are all 1-D, or all 2-D of shapes (len(S_j), c) sharing
+        a trailing batch axis: c grids weighed at once, of shape
+        (len(S_0), ..., len(S_{s-1}), c), column b the grid of the arrays'
+        columns b. Raises ValueError on a number of arrays other than s, on
+        arrays that mix 1-D and 2-D, on an array of any other number of
+        dimensions, and on batch lengths that differ. Every value must lie
+        in [0, n); nothing checks it, and other values give undefined
+        results, as in weight_batch."""
+        sets = [np.asarray(x, dtype=np.int64) for x in sets]
+        if len(sets) != self.s:
+            raise ValueError(f"need {self.s} value arrays, one per dimension, got {len(sets)}")
+        ndims = {x.ndim for x in sets}
+        if ndims != {1} and (ndims != {2} or len({x.shape[1] for x in sets}) > 1):
+            raise ValueError("value arrays must be all 1-D, or all 2-D with one batch length, "
+                             f"got shapes {[x.shape for x in sets]}")
+        return self.weights.grid(self, sets)
 
     def min_weight_floor(self) -> float:
         return self.weights.min_weight_floor()

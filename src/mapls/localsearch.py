@@ -18,12 +18,13 @@ Three families:
   search trajectory. All recombinations of a k-subset draw their rows from
   k^s distinct vectors, and those are weighed once per subset. A block is
   screened a fixed-size chunk of subsets at a time, every chunk on the
-  assignment at the block's start, so the screen's memory does not grow
-  with the block. Handed its one hint, a known k-opt local optimum (the
-  chained `2opt`/`3opt` callable passes its previous result, ``combined`` a
-  later k-opt phase the previous phase's), the first sweep screens only the
-  subsets holding a row changed since that optimum, and `candidate_evals`
-  counts only the subsets screened or re-verified. Every skip is exact;
+  assignment at the block's start and weighed as one batched grid, so the
+  screen's memory does not grow with the block. Handed its one hint, a
+  known k-opt local optimum (the chained `2opt`/`3opt` callable passes its
+  previous result, ``combined`` a later k-opt phase the previous phase's),
+  the first sweep screens only the subsets holding a row changed since
+  that optimum, and `candidate_evals` counts only the subsets screened or
+  re-verified. Every skip is exact;
 * ``combined``: alternate a dimensionwise and a vectorwise search until the
   assignment is a local optimum of both.
 """
@@ -56,8 +57,9 @@ EPS = 1e-9
 # this size decides which screens see which commits and so the results
 _BATCH_ROWS = 1_200_000
 # recombination rows per k-opt screen chunk and candidate vectors per v-opt
-# table block. It bounds the screen's per-thread buffers (1.55 MB for 3-opt
-# at s = 3 to 5) whatever the block size, and no result depends on it.
+# table block. It bounds the screen's per-thread buffers (0.69 to 0.77 MB
+# for 3-opt at s = 3 to 5) whatever the block size, and no result depends
+# on it.
 # Smaller chunks pay numpy's per-call overhead more often: on a 2-vCPU VM,
 # chained 3-opt calls on 3c50, 4c15 and 3r40 took 0.90-0.98x the time of
 # whole-block screens at 2^16 to 2^18 rows a chunk, and 1.7-2.0x at 2^13
@@ -241,8 +243,7 @@ def k_opt(
     but that of the weight calls. `candidate_evals` counts the recombination
     rows assessed, R*k per subset screened or re-verified with
     R = (k!)^(s-1) - 1, however many weight calls that took; subsets a skip
-    rule drops count nothing. The weights actually computed show in the
-    traced `core.weight_batch.rows`.
+    rule drops count nothing.
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
@@ -304,8 +305,7 @@ def _sweep(inst, a, w_rows, subsets, examine, floor, fresh):
     nothing has changed since always commits.
     """
     n, s, k = inst.n, inst.s, subsets.shape[1]
-    table = _recombinations(s, k)
-    index = _cube_tables(s, k)[1]
+    table, index = _cube_tables(s, k)
     # keep the subsets holding an examined row and a row above the floor
     examined = np.zeros(len(subsets), dtype=bool)
     live = np.zeros(len(subsets), dtype=bool)
@@ -364,23 +364,19 @@ def _sweep(inst, a, w_rows, subsets, examine, floor, fresh):
 
 @lru_cache(maxsize=16)
 def _cube_tables(s: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only gather tables for a k-subset's (k,)*s cube of candidate
-    vectors, whose entry (i_0, ..., i_{s-1}) takes its dim-j coordinate
-    from row i_j. `picks` (s * k^s,): for dimension j and each entry in C
-    order, the row j*k + i_j of the subsets' (s*k, c) coordinates (dim j
-    of row i at row j*k + i). `index` (k, R): the entries holding the rows
-    of the recombinations in `_recombinations(s, k)`, row m of
-    recombination r being the entry (m, table[r, 0, m], ...,
-    table[r, s-2, m])."""
+    """The recombinations of k rows, `_recombinations(s, k)`, and where
+    their rows sit in a k-subset's (k,)*s cube of candidate vectors, whose
+    entry (i_0, ..., i_{s-1}) takes its dim-j coordinate from row i_j and
+    is numbered in C order. `index` (k, R): the entries holding the rows of
+    the recombinations, row m of recombination r being the entry
+    (m, table[r, 0, m], ..., table[r, s-2, m]). Read-only."""
     table = _recombinations(s, k)
-    rows = np.indices((k,) * s).reshape(s, -1)  # (s, k^s): i_j of each entry
-    picks = (rows + k * np.arange(s)[:, None]).ravel()
     index = np.arange(k, dtype=np.int64)
     for j in range(s - 1):
         index = index * k + table[:, j]
     index = np.ascontiguousarray(index.T)
-    picks.flags.writeable = index.flags.writeable = False
-    return picks, index
+    index.flags.writeable = False
+    return table, index
 
 
 # Flat buffers the k-opt screen reuses across chunks, blocks and calls, by
@@ -408,21 +404,21 @@ def _recombination_weights(inst, a, subsets) -> tuple[np.ndarray, np.ndarray]:
     one weighing path of the k-opt screen and its re-weighs.
 
     All recombination rows are drawn from k^s distinct vectors per subset,
-    the subset's cube (`_cube_tables`). The cubes' coordinates are laid out
-    dimension-major and subset-minor in the `cube` workspace and weighed
-    once. The totals are then built by k takes of the weights, one per row
-    of a recombination, added as w0 + w1 (+ w2): the order in which numpy
-    2.4 sums the last axis of a C-contiguous (c, R, k) array (the tests pin
-    this). Every index is in range, so the takes clip, which lets them write
-    into the workspace unbuffered. The totals are a view of the `totals`
-    workspace, which the next call overwrites; the weights are the call's
-    own."""
+    the subset's cube (`_cube_tables`): the grid of the subset rows' values
+    in each dimension. The subsets' (s, k, c) values, in the `vecs`
+    workspace, are the value arrays of c such grids sharing a batch axis,
+    so one `Instance.weight_grid` call weighs every cube of the call, the
+    weights of cube entry e of subset b at row e, column b. The totals are
+    then built by k takes of the weights, one per row of a recombination,
+    added as w0 + w1 (+ w2): the order in which numpy 2.4 sums the last
+    axis of a C-contiguous (c, R, k) array (the tests pin this). Every index
+    is in range, so the takes clip, which lets them write into the
+    workspace unbuffered. The totals are a view of the `totals` workspace,
+    which the next call overwrites; the weights are the call's own."""
     s, (c, k) = inst.s, subsets.shape
-    picks, index = _cube_tables(s, k)
+    index = _cube_tables(s, k)[1]
     vecs = np.take(a.perms, subsets.T, axis=1, out=_workspace("vecs", (s, k, c), np.int64), mode="clip")
-    cube = np.take(vecs.reshape(s * k, c), picks, axis=0, out=_workspace("cube", (s * k**s, c), np.int64),
-                   mode="clip")
-    w = inst.weight_batch(cube.reshape(s, -1).T).reshape(-1, c)  # (k^s, c)
+    w = inst.weight_grid(vecs).reshape(-1, c)  # (k^s, c)
     totals = np.take(w, index[0], axis=0, out=_workspace("totals", (index.shape[1], c)), mode="clip")
     term = _workspace("term", totals.shape)
     for rows in index[1:]:

@@ -109,8 +109,10 @@ def multichain(inst: Instance, a0: Assignment, ls, cfg: MetaConfig) -> MetaResul
     results carried over, carrier i spawning c-i perturbed children. The
     first generation is c(c+1)/2 perturbations of the start.
 
-    A generation cut short by the budget is discarded; if even the first
-    cannot finish, the start assignment is returned with iterations = 0.
+    A generation cut short by the budget does not count in `iterations`,
+    but its completed searches do count: the lightest of them replaces the
+    best when strictly lighter, as a whole generation's would. If even the
+    first generation cannot finish, iterations = 0.
     """
     if cfg.kind != "multichain":
         raise ValueError("config kind must be 'multichain'")
@@ -124,7 +126,9 @@ def _generations(inst, a0, ls, cfg, c, perturb_start):
     `perturb_start` is false. The inputs are searched in order, the budget
     checked before each call, and the results sorted stably by weight
     (ties keep search order): the first c carry over. A generation cut
-    short by the budget is discarded."""
+    short by the budget ends the run: its completed searches compete for
+    the best as a whole generation's do, but it counts in no `iterations`
+    and carries nothing over."""
     if a0.perms.shape != (inst.s, inst.n):
         raise ValueError(f"the start has shape {a0.perms.shape}, the instance needs {(inst.s, inst.n)}")
     a0.validate()
@@ -134,16 +138,19 @@ def _generations(inst, a0, ls, cfg, c, perturb_start):
     carriers, perturbing = [a0] * c, perturb_start
     generations = 0
     while True:
+        parents = [a for i, a in enumerate(carriers) for _ in range(c - i)]
         results = []
-        for parent in [a for i, a in enumerate(carriers) for _ in range(c - i)]:
+        for parent in parents:
             if budget.exhausted():
-                return budget.result(best, best_w, generations)
+                break
             r = budget.run(ls, inst, perturb(parent, rng) if perturbing else parent)
             results.append((r.final_weight, r.result))
         results.sort(key=lambda wr: wr[0])
-        generations += 1
-        if results[0][0] < best_w - EPS:
+        if results and results[0][0] < best_w - EPS:
             best, best_w = results[0][1].copy(), results[0][0]
+        if len(results) < len(parents):
+            return budget.result(best, best_w, generations)
+        generations += 1
         if best_w - EPS <= budget.bound:
             return budget.result(best, best_w, generations, stopped_at_bound=True)
         carriers, perturbing = [a for _, a in results[:c]], True

@@ -291,6 +291,57 @@ def test_weight_grid_signed_zero_tables(cls):
         _assert_grid_matches_batch(inst, sets)
 
 
+def _batched_grid_instances(s, rng):
+    """One instance of each weight family at s: generated r, gp, c, sr, g
+    and p names, an explicit tensor of non-integral values, a clique sum of
+    float tables with -0.0 entries, and product weights of float factors."""
+    n = _GRID_SIZES[s]
+    for tag in ("r", "gp", "c", "sr", "g", "p"):
+        yield generate(parse_instance_name(f"{s}{tag}{n}", 1))
+    yield explicit_instance(s, n, rng.uniform(0.0, 1.0, size=n**s))
+    mats = {pair: np.where(rng.random((n, n)) < 0.3, -0.0, rng.uniform(0.0, 2.0, size=(n, n)))
+            for pair in combinations(range(s), 2)}
+    yield Instance(CliqueSum(s, mats), 0)
+    yield Instance(ProductWeights([rng.uniform(0.5, 2.0, size=n) for _ in range(s)]), 0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", range(3, 9))
+def test_batched_weight_grid_matches_batch_and_columns(s):
+    # c grids sharing a trailing batch axis weigh each column's vectors to
+    # the floats weight_batch and a 1-D grid of that column give them
+    rng = np.random.default_rng([s, 31])
+    for inst in _batched_grid_instances(s, rng):
+        for lens in [[1] * s] + [[(j + shift) % 4 + 1 for j in range(s)] for shift in range(4)]:
+            for c in (1, 2, 17):
+                sets = [rng.integers(0, inst.n, size=(m, c)) for m in lens]
+                got = inst.weight_grid(sets)
+                assert got.shape == (*lens, c) and got.dtype == np.float64
+                for b in range(c):
+                    column = [x[:, b] for x in sets]
+                    want = inst.weight_batch(_product_list(column))
+                    assert got[..., b].ravel().tobytes() == want.tobytes(), (inst.family, lens, c, b)
+                    assert got[..., b].tobytes() == inst.weight_grid(column).tobytes()
+
+
+def test_weight_grid_refuses_mixed_or_misshapen_sets():
+    inst = generate(parse_instance_name("3r5", 1))
+    flat, batched = np.arange(3), np.zeros((3, 2), dtype=np.int64)
+    for sets in (
+        [flat, batched, flat],  # 1-D and 2-D mixed
+        [batched, batched, np.zeros((3, 2, 1), dtype=np.int64)],  # a 3-D array
+        [flat, flat, np.zeros((2, 2, 2), dtype=np.int64)],
+        [flat, flat, np.array(2)],  # a 0-D array
+        [batched, batched, np.zeros((3, 4), dtype=np.int64)],  # batch lengths 2 and 4
+    ):
+        with pytest.raises(ValueError, match="all 1-D, or all 2-D"):
+            inst.weight_grid(sets)
+    for count in (2, 4):  # one array per dimension
+        with pytest.raises(ValueError, match="need 3 value arrays"):
+            inst.weight_grid([flat] * count)
+    assert inst.weight_grid([batched] * 3).shape == (3, 3, 3, 2)
+
+
 def test_instance_reads_shape_and_family_from_model():
     # 64 values would fit both 4^3 and 2^6: the tensor's own (s, n) decides
     planted = Assignment.identity(3, 6)

@@ -707,8 +707,8 @@ def test_kopt_screen_buffers_stay_within_a_chunk(monkeypatch):
     # the screen weighs a block a chunk at a time and keeps only its
     # candidates' weights, so a thread's buffers are bounded by the chunk,
     # whatever the block size. At k = 3 and s >= 3 a chunk row needs under
-    # one int64 of cube coordinates and under 2/3 of a float of totals and
-    # take terms: under 16 bytes in all
+    # one byte of the subsets' coordinates and under 2/3 of a float of
+    # totals and take terms: under 16 bytes in all
     runs = [(inst, construct(inst))
             for inst in (generate(parse_instance_name(name, 1)) for name in ("3c50", "5c12"))
             for construct in (trivial, greedy)]
@@ -723,32 +723,40 @@ def test_kopt_screen_buffers_stay_within_a_chunk(monkeypatch):
 def test_chained_3opt_makes_far_fewer_weight_calls_than_candidates(monkeypatch):
     # the frozen reference re-verifies each screened candidate in a weight call
     # of its own; the sweep decides a candidate untouched since its screen from
-    # the screen's column and re-weighs stale ones a segment at a time
+    # the screen's column and re-weighs stale ones a segment at a time. The
+    # screen and its re-weighs weigh grids: each search makes one batch call,
+    # for its row weights, and every other call is a grid's
     inst = generate(parse_instance_name("3c30", 1))
-    calls = candidates = 0
-    weight_batch = Instance.weight_batch
+    calls = {"weight_batch": 0, "weight_grid": 0}
+    candidates = 0
     reference_totals = _reference_triple_totals
 
-    def counting(self, coords):
-        nonlocal calls
-        calls += 1
-        return weight_batch(self, coords)
+    def counting(name):
+        method = getattr(Instance, name)
+
+        def run(self, arg):
+            calls[name] += 1
+            return method(self, arg)
+
+        return run
 
     def counting_totals(inst_, a, triples, table):
         nonlocal candidates
         candidates += len(triples) == 1  # a re-verify; blocks here hold many triples
         return reference_totals(inst_, a, triples, table)
 
-    monkeypatch.setattr(Instance, "weight_batch", counting)
+    for name in calls:
+        monkeypatch.setattr(Instance, name, counting(name))
     monkeypatch.setitem(globals(), "_reference_triple_totals", counting_totals)
     search = make_local_search("3opt", inst.s)
     made = screened = 0
 
     def checked(inst_, a):
         nonlocal made, screened
-        before = calls
+        before = dict(calls)
         r = search(inst_, a)
-        made += calls - before
+        assert calls["weight_batch"] - before["weight_batch"] == 1
+        made += sum(calls.values()) - sum(before.values())
         _assert_same_report(r, k_opt(inst_, a, 3))
         before = candidates
         assert _reference_k_opt(inst_, a, 3)[0] == r.result

@@ -119,13 +119,43 @@ def test_multichain_seed_block_is_15_searches():
     assert res.iterations == 1  # seeding finished, one generation committed
 
 
+def _recording(search):
+    """The search, and the list of the reports of every call it makes."""
+    reports = []
+
+    def run(inst, a):
+        reports.append(search(inst, a))
+        return reports[-1]
+
+    return run, reports
+
+
 def test_multichain_budget_too_small_flags():
+    # 7 of the first generation's 15 searches run: the generation does not
+    # count, but the lightest of its searches is the best
     inst = generate(parse_instance_name("3r10", 1))
     a0 = trivial(inst)
-    res = multichain(inst, a0, ls_1dv(3),
-                     MetaConfig("multichain", iteration_cap=7, rng_seed=4))
+    search, reports = _recording(ls_1dv(3))
+    res = multichain(inst, a0, search, MetaConfig("multichain", iteration_cap=7, rng_seed=4))
     assert res.iterations == 0  # no generation completed
-    assert res.best == a0
+    assert res.ls_calls == len(reports) == 7
+    lightest = min(reports, key=lambda r: r.final_weight)
+    assert lightest.final_weight < assignment_weight(inst, a0)
+    assert res.best == lightest.result and res.best_weight == lightest.final_weight
+
+
+def test_multichain_keeps_the_best_of_a_cut_generation():
+    # 4c8 #1, c = 4: six of the first generation's ten searches run, and
+    # the third reaches 1246, the MILP optimum; the start weighs 2889
+    inst = generate(parse_instance_name("4c8", 1))
+    a0 = trivial(inst)
+    search, reports = _recording(ls_1dv(4))
+    res = multichain(inst, a0, search, MetaConfig("multichain", c=4, iteration_cap=6, rng_seed=1))
+    assert assignment_weight(inst, a0) == 2889
+    assert [r.final_weight for r in reports] == [1285, 1285, 1246, 1347, 1329, 1326]
+    assert (res.best_weight, res.iterations, res.ls_calls) == (1246, 0, 6)
+    assert res.best == reports[2].result
+    assert assignment_weight(inst, res.best) == 1246
 
 
 def test_multichain_deterministic_and_monotone():

@@ -78,6 +78,17 @@ def _ref_chain(inst, a0, ls, cfg: MetaConfig) -> MetaResult:
                       stopped_at_bound=at_bound)
 
 
+def _ref_keep_lightest(population, best, best_w):
+    """The best after a generation the budget cut short: its lightest
+    completed search (the first searched on a tie), when strictly lighter
+    than best_w."""
+    if population:
+        w, _, a = min(population, key=lambda entry: (entry[0], entry[1]))
+        if w < best_w - EPS:
+            return a.copy(), w
+    return best, best_w
+
+
 def _ref_multichain(inst, a0, ls, cfg: MetaConfig) -> MetaResult:
     if cfg.kind != "multichain":
         raise ValueError("config kind must be 'multichain'")
@@ -91,6 +102,7 @@ def _ref_multichain(inst, a0, ls, cfg: MetaConfig) -> MetaResult:
     seq = 0
     for _ in range(c * (c + 1) // 2):
         if budget.exhausted():
+            best, best_w = _ref_keep_lightest(population, best, best_w)
             return MetaResult(best, best_w, budget.calls, 0, time.perf_counter() - budget.t0)
         r = budget.run(ls, inst, perturb(best, rng))
         population.append((r.final_weight, seq, r.result))
@@ -118,6 +130,7 @@ def _ref_multichain(inst, a0, ls, cfg: MetaConfig) -> MetaResult:
             if aborted:
                 break
         if aborted:
+            best, best_w = _ref_keep_lightest(population, best, best_w)
             break
     return MetaResult(best, best_w, budget.calls, generations, time.perf_counter() - budget.t0,
                       stopped_at_bound=at_bound)
