@@ -47,17 +47,27 @@ def solve_ap2(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimize sum(M[i, perm[i]]) over permutations.
 
     Returns (perm, cost) with perm an int64 array mapping rows to columns.
-    Raises ValueError for non-square or non-finite input, and when the
-    optimal cost overflows float64.
+    Raises ValueError for complex, non-square or non-finite input, and when
+    the optimal cost overflows float64.
     """
-    m = np.asarray(matrix, dtype=np.float64)
+    m = np.asarray(matrix)
+    if np.iscomplexobj(m):
+        raise ValueError("matrix entries must be real")
+    m = m.astype(np.float64, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"need a square matrix with n >= 1, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    rows, cols = linear_sum_assignment(m)
-    perm = cols.astype(np.int64)
-    cost = float(m[rows, cols].sum())
+    perm, cost = _solve_unchecked(m)
     if not math.isfinite(cost):
         raise ValueError("optimal cost overflows float64")
-    return perm, cost
+    return perm.astype(np.int64), cost
+
+
+def _solve_unchecked(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """solve_ap2 without its checks: scipy's column per row and their cost,
+    summed as solve_ap2 sums it, for a square float64 matrix of finite
+    entries. Nothing checks the matrix, and a cost that overflows comes back
+    as inf; the dimensionwise search builds such matrices itself."""
+    rows, cols = linear_sum_assignment(m)
+    return cols, float(m[rows, cols].sum())

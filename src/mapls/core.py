@@ -680,8 +680,12 @@ def row_weights(inst: Instance, a: Assignment) -> np.ndarray:
 
 
 def _validate_perm(rho: np.ndarray, n: int) -> np.ndarray:
-    rho = np.asarray(rho, dtype=np.int64)
-    if rho.shape != (n,) or not (np.sort(rho) == np.arange(n)).all():
+    values = np.asarray(rho)
+    if values.dtype.kind not in "biuf":
+        raise ValueError(f"rho must hold integers, got dtype {values.dtype}")
+    with np.errstate(invalid="ignore"):  # nan and inf cast to values the compare refuses
+        rho = values.astype(np.int64)
+    if rho.shape != (n,) or not (rho == values).all() or not (np.sort(rho) == np.arange(n)).all():
         raise ValueError("rho is not a permutation of 0..n-1")
     return rho
 

@@ -5,7 +5,9 @@ Three families:
 * dimensionwise (``dv_search``): re-permute a subset of dimensions jointly,
   the optimal re-permutation found exactly by one 2-AP solve per subset
   (on product weights, a solve that sorting shows cannot improve is
-  decided without the matrix or the solver);
+  decided without the matrix or the solver). Handed an earlier result of
+  the same search with its weight (the chained `1dv`/`2dv`/`sdv` callable
+  passes its previous one), it stops once it reaches that result;
 * vectorwise (``k_opt``, ``v_opt``): recombine coordinates inside a small
   set of vectors, exhaustively for k-opt, along a variable-depth chain for
   v-opt. 2-opt and 3-opt are one sweep over one table of k-row
@@ -40,12 +42,12 @@ from math import comb
 
 import numpy as np
 
-from .ap2 import solve_ap2
+# the unchecked solve, under the name perfbench's tracer wraps
+from .ap2 import _solve_unchecked as solve_ap2
 from .core import (
     Assignment,
     Instance,
     ProductWeights,
-    apply_dimension_permutation,
     assignment_weight,
     row_weights,
     swap_weight_matrix,
@@ -123,7 +125,39 @@ def _report(result, w0, w1, passes, ap2, evals, t0) -> LocalSearchReport:
     )
 
 
-def dv_search(inst: Instance, a: Assignment, variant: str) -> LocalSearchReport:
+@lru_cache(maxsize=64)
+def _dv_plan(variant: str, s: int) -> tuple[tuple, ...]:
+    """Per subset of `build_family(variant, s)`, in sweep order: the
+    subset, its frozenset (the key of the swap-matrix kernels' cached
+    selectors), the dimensions a commit re-permutes, as slices of
+    consecutive dimensions, and whether it re-permutes them by the inverse
+    of the solved permutation.
+
+    A subset without dimension 0 re-permutes its own dimensions by sigma.
+    One holding dimension 0 would move row 0 off the identity; renormalized
+    (`apply_dimension_permutation`), its own dimensions come back unchanged
+    and the others take sigma's inverse, so the commit re-permutes those."""
+    plan = []
+    for dims in build_family(variant, s):
+        # slices take their rows in one call, where a list index copies them first
+        runs: list[slice] = []
+        for j in range(s):
+            if (j in dims) != (0 in dims):  # a re-permuted dimension
+                if runs and runs[-1].stop == j:
+                    runs[-1] = slice(runs[-1].start, j + 1)
+                else:
+                    runs.append(slice(j, j + 1))
+        plan.append((dims, frozenset(dims), tuple(runs), 0 in dims))
+    return tuple(plan)
+
+
+def dv_search(
+    inst: Instance,
+    a: Assignment,
+    variant: str,
+    *,
+    local_optimum: tuple[Assignment, float] | None = None,
+) -> LocalSearchReport:
     """Sweep the DV `variant`'s subset family on the instance's s
     (`build_family(variant, inst.s)`) cyclically, applying each strictly
     improving 2-AP relabeling, until every subset is known to leave the
@@ -136,42 +170,72 @@ def dv_search(inst: Instance, a: Assignment, variant: str) -> LocalSearchReport:
     ever commits), and makes (position of the last commit in the solve
     sequence, 0-based) + |F| solves. `passes` counts the sweeps begun.
 
+    `local_optimum`, a pair (result, final_weight) of an earlier search of
+    the same variant on the same instance, is an assignment at which every
+    subset is known to be clean at that weight. When the start, or the
+    assignment after a commit, is that result and the tracked weight is no
+    greater, every subset is clean there too, so the search stops: the
+    result and final weight are those of the search without the hint, with
+    fewer solves.
+
     On a product model whose sums are exact, a solve whose optimum found by
     sorting (`_sorted_swap_cost`) is not below w - EPS cannot commit, and
     builds no matrix and calls no solver; it counts in `ap2_calls` and its
     n^2 entries in `candidate_evals`, as a solved one does, so the reports
     are those of solving every subset.
+
+    The loop solves and commits unchecked, through neither `solve_ap2`'s
+    checks nor `apply_dimension_permutation`'s: the swap matrices are
+    square and finite, because every weight model refuses non-finite
+    weights, and scipy's columns are a permutation. A cost that overflows
+    to inf is not below w - EPS, so it never commits. The commit
+    re-permutes the search's own copy of the perms in place, by the
+    subset's plan (`_dv_plan`).
     """
+    if local_optimum is not None and local_optimum[0].perms.shape != a.perms.shape:
+        raise ValueError("the local optimum must have the assignment's shape")
     t0 = time.perf_counter()
     a = a.copy()
+    perms = a.perms
     w0 = w = assignment_weight(inst, a)
-    sets = build_family(variant, inst.s)
-    ap2_calls = evals = 0
+    plan = _dv_plan(variant, inst.s)
+    ap2_calls = 0
     clean = 0  # subsets known to leave the current assignment unchanged
+    if local_optimum is not None:
+        origin, origin_w = local_optimum[0].perms.tobytes(), local_optimum[1]
+        if w <= origin_w and perms.tobytes() == origin:
+            clean = len(plan)
     model = inst.weights
     table = np.stack(model.factors) if isinstance(model, ProductWeights) and model._exact_sums else None
     factors = None  # the (s, n) factors of the rows' vectors, renewed after a commit
-    while clean < len(sets):
-        dims = sets[ap2_calls % len(sets)]
+    while clean < len(plan):
+        dims, key, moved, inverse = plan[ap2_calls % len(plan)]
         ap2_calls += 1
-        evals += inst.n * inst.n
         if table is not None:
             if factors is None:
-                factors = table[np.arange(inst.s)[:, None], a.perms]
+                factors = table[np.arange(inst.s)[:, None], perms]
                 row_w = factors.prod(axis=0)
             if _sorted_swap_cost(factors, row_w, dims) >= w - EPS:
                 clean += 1  # decided by sorting: the solve cannot commit
                 continue
-        sigma, cost = solve_ap2(swap_weight_matrix(inst, a, dims))
+        m = swap_weight_matrix(inst, a, key)
+        sigma, cost = solve_ap2(m)
         if cost < w - EPS:
-            a = apply_dimension_permutation(a, dims, sigma)
+            if inverse:
+                rho = np.empty_like(sigma)
+                rho[sigma] = np.arange(len(sigma))
+                sigma = rho
+            for run in moved:
+                perms[run] = perms[run].take(sigma, axis=1)
             w = cost
             clean = 1
             factors = None
+            if local_optimum is not None and w <= origin_w and perms.tobytes() == origin:
+                clean = len(plan)
         else:
             clean += 1
-    passes = -(-ap2_calls // len(sets))
-    return _report(a, w0, w, passes, ap2_calls, evals, t0)
+    passes = -(-ap2_calls // len(plan))
+    return _report(a, w0, w, passes, ap2_calls, ap2_calls * inst.n * inst.n, t0)
 
 
 def _sorted_swap_cost(factors: np.ndarray, row_w: np.ndarray, dims: tuple[int, ...]) -> float:
@@ -680,19 +744,20 @@ def search_min_n(name: str) -> int:
     return {"2opt": 2, "3opt": 3, "vopt": 2}.get(name.lower().split("+")[-1], 1)
 
 
-def _chained_k_opt(k: int):
-    """k_opt as a search callable that hands each call the result of its
-    previous call on the same instance as a known local optimum, so a chain
-    step re-screens only the subsets a perturbation can have changed. It
-    keeps a private copy: callers may mutate the results they get."""
-    last: tuple[Instance, Assignment] | None = None
+def _chained(search):
+    """`search(inst, a, optimum)` as a search callable (inst, a) that hands
+    each call the result of its previous call on the same instance, with
+    that call's final weight, as a known local optimum (None on a first
+    call or after another instance), so a chain step re-examines only what
+    the perturbation can have changed. It keeps a private copy: callers may
+    mutate the results they get."""
+    last: tuple[Instance, Assignment, float] | None = None
 
     def run(inst, a):
         nonlocal last
-        optimum = last[1] if last is not None and last[0] is inst else None
-        # looked up in the module at call time, so a wrapper installed there sees every call
-        report = k_opt(inst, a, k, local_optimum=optimum)
-        last = (inst, report.result.copy())
+        optimum = last[1:] if last is not None and last[0] is inst else None
+        report = search(inst, a, optimum)
+        last = (inst, report.result.copy(), report.final_weight)
         return report
 
     return run
@@ -711,10 +776,14 @@ def make_local_search(name: str, s: int, v_variant: str = "improved"):
             w = assignment_weight(inst, a)
             return _report(a.copy(), w, w, 0, 0, 0, t0)
         return run_none
+    # dv_search and k_opt are looked up in the module at call time, so a
+    # wrapper installed there sees every call
     if name in DV_VARIANTS:
-        return lambda inst, a: dv_search(inst, a, name)
+        return _chained(lambda inst, a, optimum: dv_search(inst, a, name, local_optimum=optimum))
     if name in ("2opt", "3opt"):
-        return _chained_k_opt(2 if name == "2opt" else 3)
+        k = 2 if name == "2opt" else 3
+        return _chained(lambda inst, a, optimum: k_opt(
+            inst, a, k, local_optimum=None if optimum is None else optimum[0]))
     if name == "vopt":
         return lambda inst, a: v_opt(inst, a, v_variant)
     dv_name, vw = name.split("+")

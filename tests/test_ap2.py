@@ -78,6 +78,13 @@ def test_input_validation():
         solve_ap2(np.zeros((0, 0)))
 
 
+def test_complex_input_is_refused():
+    # a complex matrix is refused, even with a zero imaginary part, not cast to its real part
+    for m in (np.array([[1 + 5j, 2], [3, 4]]), np.array([[1 + 0j, 2], [3, 4]])):
+        with pytest.raises(ValueError, match="real"):
+            solve_ap2(m)
+
+
 def test_overflowing_cost_is_refused():
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
         solve_ap2(np.full((2, 2), 1e308))

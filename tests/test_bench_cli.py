@@ -372,6 +372,17 @@ def test_cli_ap2(tmp_path):
     assert r.stdout.splitlines() == ["cost 1", "perm 1 2"]
 
 
+def test_python_m_mapls_runs_the_cli(tmp_path):
+    # `python -m mapls` runs the same command line, exit codes included
+    m = tmp_path / "m.txt"
+    m.write_text("1 2\n3 0\n")
+    run = [sys.executable, "-m", "mapls", "ap2", "--matrix"]
+    r = subprocess.run([*run, str(m)], capture_output=True, text=True)
+    assert r.returncode == 0 and r.stdout.splitlines() == ["cost 1", "perm 1 2"]
+    r = subprocess.run([*run, str(tmp_path / "missing.txt")], capture_output=True, text=True)
+    assert r.returncode == 2 and r.stderr.startswith("mapls ap2: error:")
+
+
 def test_cli_exit_codes(tmp_path):
     r = run_cli("solve", "--name", "3r6", "--ls", "definitely-not-a-thing")
     assert r.returncode == 1  # usage

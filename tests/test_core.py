@@ -601,6 +601,17 @@ def test_apply_rejects_non_permutation():
         apply_dimension_permutation(a, {1}, np.array([0, 0, 2]))
 
 
+def test_apply_rejects_non_integral_rho():
+    # a non-integral rho is refused, not truncated: [0.5, 1.2, 2.9] would read as the identity
+    a = Assignment.identity(3, 3)
+    for rho in ([0.5, 1.2, 2.9], [1.0, np.nan, 2.0], [1 + 0j, 0, 2], ["1", "0", "2"]):
+        with pytest.raises(ValueError):
+            apply_dimension_permutation(a, (1,), rho)
+    # integral values of any numeric dtype are the permutation they name
+    for rho in ([1.0, 0.0, 2.0], np.array([1, 0, 2], dtype=np.int32)):
+        assert apply_dimension_permutation(a, (1,), rho).perms[1].tolist() == [1, 0, 2]
+
+
 def test_apply_matches_swap_multiset(rng):
     # vectors of p_D(A, rho) == { swap(A^i, A^rho(i), D) : i }
     inst = explicit_instance(3, 4, rng.integers(0, 99, 64).astype(float))

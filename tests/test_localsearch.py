@@ -293,6 +293,162 @@ def test_product_exact_sums_bound():
         assert not ProductWeights(factors)._exact_sums
 
 
+# desk's instance names, one or two per family, s = 4..8
+_CHAINED_DV_NAMES = ["4gp15", "8gp2", "5r20", "6c9", "8g4", "5p15", "7sr6", "4sr25"]
+
+
+def _chained_dv_instances(rng):
+    """Instances for the chained dimensionwise tests: desk names of every
+    generated family plus a uniform-[0, 1) explicit tensor."""
+    insts = [(name, generate(parse_instance_name(name, 1))) for name in _CHAINED_DV_NAMES]
+    insts.append(("explicit", explicit_instance(4, 6, rng.uniform(0.0, 1.0, size=6**4))))
+    return insts
+
+
+@pytest.mark.parametrize("variant", DV_VARIANTS)
+def test_chained_dv_matches_plain_dv(rng, variant):
+    # every call of a chain and a multichain through the remembering callable
+    # equals plain dv_search on the same start, in result and final weight,
+    # with no more solves; a call stops early when a commit, or its start,
+    # reaches the previous call's result. 1dv's and sdv's families hold
+    # dimension 0, whose commit re-permutes the other dimensions
+    assert all(0 in build_family(variant, s)[0] for s in range(3, 9))
+    fewer = 0
+    for tag, inst in _chained_dv_instances(rng):
+        for run, cfg in ((chain, MetaConfig("chain", iteration_cap=12, rng_seed=3)),
+                         (multichain, MetaConfig("multichain", c=2, iteration_cap=8, rng_seed=4))):
+            search = make_local_search(variant, inst.s)
+            calls = []
+
+            def checked(inst_, a):
+                nonlocal fewer
+                r = search(inst_, a)
+                ref = dv_search(inst_, a, variant)
+                assert r.result == ref.result and r.final_weight == ref.final_weight, tag
+                assert r.initial_weight == ref.initial_weight, tag
+                assert r.ap2_calls <= ref.ap2_calls, tag
+                assert r.candidate_evals == inst_.n * inst_.n * r.ap2_calls, tag
+                if not calls:
+                    assert r.ap2_calls == ref.ap2_calls, tag
+                fewer += r.ap2_calls < ref.ap2_calls
+                calls.append(r)
+                return r
+
+            run(inst, trivial(inst), checked, cfg)
+            assert len(calls) == cfg.iteration_cap
+    assert fewer >= 20
+
+
+def test_dv_hint_stops_at_its_origin():
+    # a start equal to the hint, at a tracked weight no greater, solves
+    # nothing; at a greater weight the hint says nothing about it
+    inst = generate(parse_instance_name("5r20", 1))
+    r = dv_search(inst, trivial(inst), "1dv")
+    again = dv_search(inst, r.result, "1dv", local_optimum=(r.result, r.final_weight))
+    assert again.result == r.result and again.final_weight == r.final_weight
+    assert (again.ap2_calls, again.passes, again.candidate_evals) == (0, 0, 0)
+    lighter = dv_search(inst, r.result, "1dv", local_optimum=(r.result, r.final_weight - 1.0))
+    assert lighter.ap2_calls == len(build_family("1dv", inst.s))
+    with pytest.raises(ValueError, match="shape"):
+        dv_search(inst, trivial(inst), "1dv", local_optimum=(Assignment.identity(4, 20), 0.0))
+
+
+def test_dv_hint_that_is_no_local_optimum_changes_results(rng):
+    # negative control: handed the perturbed start itself, which is no
+    # local optimum, the search stops where a plain one would go on
+    moved = 0
+    for tag, inst in _chained_dv_instances(rng):
+        opt = dv_search(inst, trivial(inst), "1dv").result
+        for seed in range(3):
+            a = perturb(opt, SplitMix64(seed))
+            plain = dv_search(inst, a, "1dv")
+            hinted = dv_search(inst, a, "1dv", local_optimum=(a, assignment_weight(inst, a)))
+            assert hinted.result == a and hinted.ap2_calls == 0
+            moved += plain.result != a
+    assert moved >= 10
+
+
+@pytest.mark.parametrize("variant", DV_VARIANTS)
+def test_chained_dv_keeps_its_own_copy(variant):
+    inst = generate(parse_instance_name("5r6", 1))
+    search = make_local_search(variant, inst.s)
+    r = search(inst, trivial(inst))
+    assert r.result != trivial(inst)
+    # an assignment no heavier than that result and no local optimum: a
+    # perturbed chain result
+    best = chain(inst, r.result, lambda i, a: dv_search(i, a, "sdv"),
+                 MetaConfig("chain", iteration_cap=30, rng_seed=1)).best
+    x = next(b for b in (perturb(best, SplitMix64(seed)) for seed in range(100))
+             if assignment_weight(inst, b) <= r.final_weight and dv_search(inst, b, variant).result != b)
+    # a caller rewrites the result in place: the callable must not see it
+    r.result.perms[:] = x.perms
+    ref = dv_search(inst, x, variant)
+    again = search(inst, x)
+    assert again.result == ref.result and again.final_weight == ref.final_weight
+    assert again.ap2_calls == ref.ap2_calls
+
+
+@pytest.mark.parametrize("variant", DV_VARIANTS)
+def test_chained_dv_remembers_per_instance(rng, variant):
+    # two instances of one shape through one callable: a result for one is
+    # not a local optimum of the other
+    insts = [generate(parse_instance_name("4c7", i)) for i in (1, 2)]
+    search = make_local_search(variant, 4)
+    a = trivial(insts[0])
+    for step in range(6):
+        inst = insts[step % 2]
+        r = search(inst, a)
+        ref = dv_search(inst, a, variant)
+        assert (r.result, r.final_weight, r.ap2_calls) == (ref.result, ref.final_weight, ref.ap2_calls)
+        a = r.result
+    # an unrelated start on the same instance
+    b = Assignment(np.vstack([np.arange(7)] + [rng.permutation(7) for _ in range(3)]))
+    r, ref = search(inst, b), dv_search(inst, b, variant)
+    assert (r.result, r.final_weight) == (ref.result, ref.final_weight)
+    # a result for one instance, at the same weight on another whose every
+    # other vector weighs 0, where it is no local optimum
+    one = random_explicit(4, 5, rng, lo=1)
+    r = search(one, trivial(one))
+    other = np.zeros(5**4)
+    kept = np.ravel_multi_index(tuple(r.result.perms), (5,) * 4)
+    other[kept] = one.weight_batch(r.result.perms.T)
+    other = explicit_instance(4, 5, other)
+    ref = dv_search(other, r.result, variant)
+    assert ref.final_weight < r.final_weight
+    got = search(other, r.result)
+    assert (got.result, got.final_weight) == (ref.result, ref.final_weight)
+
+
+def test_dv_search_runs_no_checks(monkeypatch):
+    # the search solves and commits unchecked; the public solve and commit
+    # still refuse bad input
+    from mapls import core
+
+    starts = [(inst, perturb(trivial(inst), SplitMix64(2)))
+              for inst in (generate(parse_instance_name(name, 1)) for name in ("5r20", "6c9", "5p15", "7sr6"))]
+    calls = []
+    validate, isfinite = core._validate_perm, np.isfinite
+
+    def spy(fn, name):
+        def run(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(core, "_validate_perm", spy(validate, "_validate_perm"))
+    monkeypatch.setattr(np, "isfinite", spy(isfinite, "isfinite"))
+    for inst, a in starts:
+        for variant in DV_VARIANTS:
+            r = dv_search(inst, a, variant)
+            assert r.final_weight < r.initial_weight
+    assert calls == []
+    with pytest.raises(ValueError):
+        solve_ap2(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        apply_dimension_permutation(Assignment.identity(3, 3), (1,), [0.5, 1.2, 2.9])
+    assert set(calls) == {"_validate_perm", "isfinite"}
+
+
 def test_combined_sdv_vopt_matches_reference():
     # combined's loop over the frozen dv_search and, for 2opt/3opt, the frozen
     # plain k-opt: combined hands each later k-opt phase the last one's result
