@@ -264,8 +264,9 @@ def update_best_known(path: str, name: str, index: int, value: float) -> bool:
     """Record `value` when it strictly beats the stored best. Returns whether
     it improved. Refuses random and planted names, whose rows divide by a*n;
     only the family is read from the name, so nothing is generated."""
-    if not math.isfinite(value):
-        raise ValueError("weight must be finite")
+    if not (math.isfinite(value) and value >= 0):
+        # read_registry refuses such a line, so every later read would fail
+        raise ValueError(f"weight must be finite and non-negative, got {value!r}")
     if parse_instance_name(name, index).family in (Family.RANDOM, Family.PLANTED):
         raise ValueError(f"{name}: random and planted rows divide by a*n, not the registry")
     lock_path = path + ".lock"

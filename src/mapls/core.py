@@ -247,6 +247,8 @@ class LazyRandom(_RankWeights):
             raise ValueError(f"random weights need n^s <= 2^64, got n={n} s={s}")
         if b - a >= 2**64:
             raise ValueError(f"random weights need b - a < 2^64, got b - a = {b - a}")
+        if a != int(a) or b != int(b):
+            raise ValueError(f"random weights need integral a and b, got a={a} b={b}")
         super().__init__(s, n)
         self.a = int(a)
         self.b = int(b)

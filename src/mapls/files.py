@@ -1,11 +1,13 @@
 """Text file formats for instances and assignments.
 
 Instance files: line 1 is `MAP <s> <n> <family> <seed>`. Explicit instances
-follow with n^s whitespace-separated weights in lexicographic order; random
-and planted instances carry no body (they are regenerated from the seed, so
-only the generator's own random and planted instances can be written);
-decomposable and geometric instances carry their matrices/points row-major
-after a `DATA` sentinel line.
+follow with n^s whitespace-separated weights in lexicographic order, n per
+line; random and planted instances carry no body (they are regenerated from
+the seed, so only the generator's own random and planted instances can be
+written). The clique, square-root, geometric and product families carry
+their arrays after a `DATA` sentinel line, one array row per line, in the
+order and shapes of their layout in `generate.LAYOUTS`, the order the
+generator draws them in.
 
 Assignment files: s-1 lines, each a space-separated permutation of 1..n
 (the permutations for dimensions 2..s; dimension 1 is the identity).
@@ -14,22 +16,12 @@ Assignment files: s-1 lines, each a space-separated permutation of 1..n
 from __future__ import annotations
 
 import io
-from itertools import combinations
 from typing import TextIO
 
 import numpy as np
 
-from .core import (
-    Assignment,
-    CliqueSum,
-    ExplicitTensor,
-    Family,
-    GeometricPoints,
-    Instance,
-    ProductWeights,
-    SquareRootSquares,
-)
-from .generate import build_generated_instance
+from .core import Assignment, ExplicitTensor, Family, Instance
+from .generate import LAYOUTS, build_generated_instance
 
 
 def _fmt(x: float) -> str:
@@ -54,18 +46,10 @@ def dump_instance(inst: Instance, out: TextIO) -> None:
     out.write(f"MAP {inst.s} {inst.n} {family.value} {inst.seed}\n")
     if family == Family.EXPLICIT:
         _write_block(out, model.values, inst.n)
-    elif family in (Family.CLIQUE, Family.SQUAREROOT):
+    elif family in LAYOUTS:
         out.write("DATA\n")
-        for pair in combinations(range(inst.s), 2):
-            _write_block(out, model.mats[pair], inst.n)
-    elif family == Family.PRODUCT:
-        out.write("DATA\n")
-        for f in model.factors:
-            _write_block(out, f, inst.n)
-    elif family == Family.GEOMETRIC:
-        out.write("DATA\n")
-        for p in model.points:
-            _write_block(out, p, 2)
+        layout = LAYOUTS[family]
+        _write_block(out, layout.arrays(model), layout.shape(inst.s, inst.n)[-1])
     # random / planted: header only
 
 
@@ -105,37 +89,14 @@ def load_instance(path) -> Instance:
         values = np.asarray([float(t) for t in tokens], dtype=np.float64)
         return Instance(ExplicitTensor(s, n, values), seed)
 
+    layout = LAYOUTS[family]
     _, sentinel, data = rest.partition("DATA")
     if not sentinel:
         raise ValueError(f"{path}: missing DATA sentinel for family {family.value}")
     tokens = [float(t) for t in data.split()]
-
-    if family in (Family.CLIQUE, Family.SQUAREROOT):
-        pairs = list(combinations(range(s), 2))
-        need = len(pairs) * n * n
-        if len(tokens) != need:
-            raise ValueError(f"{path}: expected {need} matrix entries, got {len(tokens)}")
-        mats = {}
-        pos = 0
-        for pair in pairs:
-            mats[pair] = np.asarray(tokens[pos : pos + n * n]).reshape(n, n)
-            pos += n * n
-        cls = CliqueSum if family == Family.CLIQUE else SquareRootSquares
-        return Instance(cls(s, mats), seed)
-
-    if family == Family.PRODUCT:
-        if len(tokens) != s * n:
-            raise ValueError(f"{path}: expected {s * n} factor entries, got {len(tokens)}")
-        factors = [np.asarray(tokens[j * n : (j + 1) * n]) for j in range(s)]
-        return Instance(ProductWeights(factors), seed)
-
-    if family == Family.GEOMETRIC:
-        if len(tokens) != s * n * 2:
-            raise ValueError(f"{path}: expected {s * n * 2} coordinates, got {len(tokens)}")
-        pts = [np.asarray(tokens[j * 2 * n : (j + 1) * 2 * n]).reshape(n, 2) for j in range(s)]
-        return Instance(GeometricPoints(pts), seed)
-
-    raise ValueError(f"{path}: unsupported family {family.value}")
+    if len(tokens) != layout.size(s, n):
+        raise ValueError(f"{path}: expected {layout.size(s, n)} {family.value} values, got {len(tokens)}")
+    return Instance(layout.model(s, n, tokens), seed)
 
 
 def dump_assignment(a: Assignment, out: TextIO) -> None:

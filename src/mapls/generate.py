@@ -3,16 +3,19 @@
 Instances are named `<s><tag><n>` (e.g. 5r40 is a five-dimensional random
 instance of size 40) and seeded with seed = s + n + index, so regenerating
 the same (family, s, n, index) always gives the identical instance. Eager
-draws (edge matrices, points, factors, the planted permutation) consume one
-SplitMix64 stream in a fixed, documented order; random weights themselves
-are lazy and counter-keyed (see core.LazyRandom).
+draws (the planted permutation, or a stored family's arrays in the order of
+its `LAYOUTS` entry, which the instance file format shares) consume one
+SplitMix64 stream; random weights themselves are lazy and counter-keyed
+(see core.LazyRandom).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from .core import (
     Planted,
     ProductWeights,
     SquareRootSquares,
+    WeightModel,
 )
 from .rng import SplitMix64
 
@@ -89,12 +93,43 @@ def parse_instance_name(name: str, index: int = 1) -> FamilySpec:
     return FamilySpec(_NAME_TAGS[tag], s, n, index)
 
 
-def _draw_pair_matrices(stream: SplitMix64, s: int, n: int, lo: int, hi: int):
-    # (i, j) pairs in lexicographic dimension order, each matrix row-major
-    return {
-        pair: stream.randint_block(lo, hi, n * n).reshape(n, n).astype(np.float64)
-        for pair in combinations(range(s), 2)
-    }
+@dataclass(frozen=True)
+class Layout:
+    """A stored family's arrays, in draw and file order."""
+
+    # the range a generated instance draws every entry from
+    draw_range: tuple[int, int]
+    # (s, n) -> the arrays' shape, stacked: (number of arrays, *one array's shape)
+    shape: Callable[[int, int], tuple[int, ...]]
+    # (s, arrays) -> the model built from those arrays
+    build: Callable[[int, list[np.ndarray]], WeightModel]
+    # model -> its arrays, read back
+    arrays: Callable[[WeightModel], list[np.ndarray]]
+
+    def size(self, s: int, n: int) -> int:
+        """The number of entries in all the arrays."""
+        return math.prod(self.shape(s, n))
+
+    def model(self, s: int, n: int, values) -> WeightModel:
+        """The model of the arrays whose entries, flat in order, are values."""
+        return self.build(s, list(np.reshape(values, self.shape(s, n))))
+
+
+def _pairwise(cls) -> Layout:
+    # one n x n table per dimension pair i < j, in lexicographic pair order
+    return Layout(EDGE_RANGE, lambda s, n: (math.comb(s, 2), n, n),
+                  lambda s, arrays: cls(s, dict(zip(combinations(range(s), 2), arrays))),
+                  lambda model: list(model.mats.values()))
+
+
+LAYOUTS = {
+    Family.CLIQUE: _pairwise(CliqueSum),
+    Family.SQUAREROOT: _pairwise(SquareRootSquares),
+    Family.GEOMETRIC: Layout(COORD_RANGE, lambda s, n: (s, n, 2),
+                             lambda s, arrays: GeometricPoints(arrays), lambda model: model.points),
+    Family.PRODUCT: Layout(FACTOR_RANGE, lambda s, n: (s, n),
+                           lambda s, arrays: ProductWeights(arrays), lambda model: model.factors),
+}
 
 
 def generate(spec: FamilySpec) -> Instance:
@@ -114,19 +149,9 @@ def build_generated_instance(family: Family, s: int, n: int, seed: int) -> Insta
         for j in range(1, s):
             perms[j] = stream.permutation(n)
         weights = Planted(*RANDOM_RANGE, Assignment(perms))
-    elif family in (Family.CLIQUE, Family.SQUAREROOT):
-        mats = _draw_pair_matrices(stream, s, n, *EDGE_RANGE)
-        cls = CliqueSum if family == Family.CLIQUE else SquareRootSquares
-        weights = cls(s, mats)
-    elif family == Family.GEOMETRIC:
-        points = [
-            stream.randint_block(*COORD_RANGE, 2 * n).reshape(n, 2).astype(np.float64)
-            for _ in range(s)
-        ]
-        weights = GeometricPoints(points)
-    elif family == Family.PRODUCT:
-        factors = [stream.randint_block(*FACTOR_RANGE, n).astype(np.float64) for _ in range(s)]
-        weights = ProductWeights(factors)
+    elif family in LAYOUTS:
+        layout = LAYOUTS[family]
+        weights = layout.model(s, n, stream.randint_block(*layout.draw_range, layout.size(s, n)))
     else:
         raise ValueError(f"unsupported family for generation: {family}")
     return Instance(weights, seed)

@@ -766,10 +766,13 @@ def _chained(search):
 def make_local_search(name: str, s: int, v_variant: str = "improved"):
     """Callable (inst, assignment) -> LocalSearchReport for a CLI-style name.
     `s` is not read: a dimensionwise search takes its family from the
-    instance it runs on."""
+    instance it runs on. `v_variant` is checked for every name, though only
+    the v-opt searches read it."""
     name = name.lower()
     if name not in LS_NAMES:
         raise ValueError(f"unknown local search {name!r} (choose from {', '.join(LS_NAMES)})")
+    if v_variant not in V_VARIANTS:
+        raise ValueError(f"unknown v-opt variant {v_variant!r}")
     if name == "none":
         def run_none(inst, a):
             t0 = time.perf_counter()

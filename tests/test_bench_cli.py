@@ -42,6 +42,19 @@ def test_registry_first_entry_improves(tmp_path):
     assert read_registry(reg)[("3c10", 1)] == 499.0
 
 
+def test_registry_refuses_negative_weights(tmp_path):
+    # read_registry refuses a negative line, so storing one would make every
+    # later read of the registry fail
+    reg = str(tmp_path / "reg.txt")
+    assert update_best_known(reg, "3c5", 1, 7.0) is True
+    for value in (-5.0, -1e-9, float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            update_best_known(reg, "3c5", 1, value)
+    assert read_registry(reg) == {("3c5", 1): 7.0}
+    assert update_best_known(reg, "3c5", 1, 0.0) is True
+    assert read_registry(reg) == {("3c5", 1): 0.0}
+
+
 def test_registry_rejects_below_lower_bound(tmp_path):
     # random and planted rows divide by a*n, so the registry takes no value
     # for them, however low or high

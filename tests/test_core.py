@@ -28,7 +28,7 @@ from mapls import (
 from mapls import core
 from mapls.rng import mix64, mix64_array
 
-from conftest import explicit_instance, from_perm_rows, reference_swap_weight_matrix, swap_vectors
+from conftest import all_vectors, explicit_instance, from_perm_rows, reference_swap_weight_matrix, swap_vectors
 
 
 def clique_instance(s, mats):
@@ -393,6 +393,23 @@ def test_random_models_reject_spans_past_uint64():
         with pytest.raises(ValueError, match="b - a < 2\\^64"):
             Planted(0, b, Assignment.identity(3, 5))
     assert LazyRandom(3, 5, 1, 2**64).b == 2**64
+
+
+def test_random_models_reject_non_integral_ranges():
+    # a fractional a or b would be truncated: weights below the asked-for a,
+    # and a lower bound below a * n
+    for a, b in ((0.5, 10.7), (0.5, 10), (1, 10.7)):
+        with pytest.raises(ValueError, match="integral a and b"):
+            LazyRandom(3, 5, a, b)
+        with pytest.raises(ValueError, match="integral a and b"):
+            Planted(a, b, Assignment.identity(3, 5))
+    coords = all_vectors(3, 5)
+    want = Instance(LazyRandom(3, 5, 1, 101), 7).weight_batch(coords)
+    for a, b in ((1.0, 101.0), (np.int64(1), np.int64(101)), (np.uint8(1), 101)):
+        model = LazyRandom(3, 5, a, b)
+        assert (model.a, model.b) == (1, 101) and type(model.a) is type(model.b) is int
+        assert np.array_equal(Instance(model, 7).weight_batch(coords), want)
+        assert Planted(a, b, Assignment.identity(3, 5)).a == 1
 
 
 # Frozen copies of the random and planted kernels that ranked a uint64 copy

@@ -17,11 +17,15 @@ from mapls import (
     save_assignment,
     save_instance,
 )
+from mapls.rng import SplitMix64
 
 from conftest import all_vectors, explicit_instance
 
+# s = 5..8 as well, which take each family's arrays in an order checked at
+# up to 28 dimension pairs
 ALL_FAMILY_NAMES = ["3r5", "3gp5", "3c5", "3g5", "3p5", "3sr5",
-                    "4r4", "4gp4", "4c4", "4g4", "4p4", "4sr4"]
+                    "4r4", "4gp4", "4c4", "4g4", "4p4", "4sr4",
+                    "5c3", "6sr2", "7g2", "8p2"]
 
 
 @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
@@ -33,6 +37,9 @@ def test_instance_round_trip(name, tmp_path):
     assert (loaded.s, loaded.n, loaded.family, loaded.seed) == (inst.s, inst.n, inst.family, inst.seed)
     coords = all_vectors(inst.s, inst.n)
     assert np.array_equal(loaded.weight_batch(coords), inst.weight_batch(coords))
+    again = tmp_path / "again.map"
+    save_instance(loaded, again)
+    assert again.read_text() == path.read_text()
 
 
 @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
@@ -54,6 +61,37 @@ def test_save_refuses_what_the_seed_does_not_rebuild(inst, tmp_path):
     with pytest.raises(ValueError, match="only generated instances"):
         save_instance(inst, path)
     assert path.read_text() == "kept"
+
+
+@pytest.mark.parametrize("name, lo, hi, lines, per_line", [
+    ("5c3", 1, 100, 10 * 3, 3),  # one 3 x 3 table per pair, 10 pairs
+    ("6sr2", 1, 100, 15 * 2, 2),
+    ("7g2", 1, 100, 7 * 2, 2),  # one (2, 2) point array per dimension
+    ("8p2", 1, 10, 8, 2),  # one factor array per dimension, a line each
+])
+def test_file_body_is_the_generator_draw(name, lo, hi, lines, per_line, tmp_path):
+    # the file lists a family's arrays in the order the generator draws
+    # them, one array row per line: the body is the seed's stream
+    spec = parse_instance_name(name, 2)
+    path = tmp_path / "inst.map"
+    save_instance(generate(spec), path)
+    header, sentinel, *body = path.read_text().splitlines()
+    assert (header, sentinel) == (f"MAP {spec.s} {spec.n} {spec.family.value} {spec.seed}", "DATA")
+    assert [len(line.split()) for line in body] == [per_line] * lines
+    want = SplitMix64(spec.seed).randint_block(lo, hi, lines * per_line)
+    assert [int(v) for line in body for v in line.split()] == want.tolist()
+
+
+@pytest.mark.parametrize("family, need", [("clique", 54), ("squareroot", 54), ("geometric", 24), ("product", 12)])
+def test_load_instance_counts_the_body(family, need, tmp_path):
+    path = tmp_path / "bad.map"
+    for count in (need - 1, need + 1):
+        path.write_text(f"MAP 4 3 {family} 1\nDATA\n" + "1 " * count)
+        with pytest.raises(ValueError, match=f"expected {need} {family} values, got {count}"):
+            load_instance(path)
+    path.write_text(f"MAP 4 3 {family} 1\nDATA\n" + "1 " * need)
+    loaded = load_instance(path)
+    assert (loaded.s, loaded.n, loaded.family.value) == (4, 3, family)
 
 
 def test_explicit_round_trip(tmp_path):

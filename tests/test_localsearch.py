@@ -31,7 +31,7 @@ from mapls import ProductWeights, localsearch
 from mapls import ap2
 from mapls.core import row_weights
 from mapls.meta import MetaConfig, chain, multichain
-from mapls.localsearch import DV_VARIANTS, EPS, V_VARIANTS, _swap_masks, make_local_search
+from mapls.localsearch import DV_VARIANTS, EPS, LS_NAMES, V_VARIANTS, _swap_masks, make_local_search
 from mapls.rng import SplitMix64
 
 from conftest import (
@@ -1420,3 +1420,11 @@ def test_make_local_search_names():
         make_local_search("sdv+2opt", 3)
     with pytest.raises(ValueError):
         make_local_search("bogus", 3)
+
+
+@pytest.mark.parametrize("name", LS_NAMES)
+def test_make_local_search_refuses_an_unknown_v_variant(name):
+    # refused when the search is built, whether or not the search reads it:
+    # v-opt would raise only on its first call, after the construction ran
+    with pytest.raises(ValueError, match="unknown v-opt variant 'bogus'"):
+        make_local_search(name, 3, "bogus")
