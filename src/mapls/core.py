@@ -14,12 +14,15 @@ over lexicographic ranks, each family ending in its own `_weigh_ranks`
 step (random and planted weights hash the ranks in place, one cache-sized
 chunk at a time); product weights multiply one factor per dimension.
 
-Each family also builds the swap matrices of the dimensionwise searches
-(`swap_matrix`): the matrix of a dimension set D is an outer combination of
-a part read from each row's coordinates outside D and a part read from each
-column's coordinates inside D (ranks, pair-table indices or factor
-products), so no coordinate rows are built, and every entry is the float
-`batch` gives the same vector.
+Each family also weighs swapped vectors in two steps, with no coordinate
+rows built: `swap_parts` reads each vector's parts on a set of swap masks,
+from its coordinates outside each mask and inside it (uint64 rank parts,
+flat pair-table index parts, or one factor per dimension), and
+`swap_weigh` weighs a grid of (row, column, mask) from the rows' outside
+parts and the columns' inside parts, each entry the float `batch` gives the
+same vector. The swap matrices of the dimensionwise searches
+(`swap_matrix`, one mask), v-opt's chain steps and its pair-minimum table
+are all built from these two steps.
 
 Coordinates are 0-based everywhere in code; the text file formats speak
 1-based (see files.py).
@@ -105,6 +108,15 @@ class WeightModel:
     family: Family
     # the (s, n) of the grid {0..n-1}^s the model weighs
     shape: tuple[int, int]
+    # every weight is an integer and n times the heaviest weight is below
+    # 2^53: every sum of at most n weights, and every partial sum on the
+    # way, is then an exact float64 integer, whatever the order (dv_search
+    # decides some product solves by sorting on this, and v-opt keeps its
+    # chain cut's sum as a running sum). Set by `_bound_sums`.
+    _exact_sums: bool
+
+    def _bound_sums(self, integral: bool, heaviest) -> None:
+        self._exact_sums = bool(integral) and self.shape[1] * heaviest < 2**53
 
     def batch(self, inst: "Instance", coords: np.ndarray) -> np.ndarray:
         """Weights of an (m, s) int array of vectors, as float64 (m,)."""
@@ -119,13 +131,38 @@ class WeightModel:
         the arrays' columns b."""
         raise NotImplementedError
 
+    def swap_selector(self, sides: tuple[tuple[bool, ...], ...]):
+        """What `swap_parts` reads for U swap masks, each given as s bools
+        (True for a dimension in the mask); cached per (s, n, sides)."""
+        raise NotImplementedError
+
+    def swap_parts(self, vecs: np.ndarray, sel) -> np.ndarray:
+        """The parts of an (s, m) int64 array of m vectors, one a column as
+        in an assignment's perms, on the U masks of `sel` (from
+        `swap_selector`), of shape (2, *lead, U, m): [0] read from each
+        vector's coordinates outside each mask, [1] from those inside it.
+        `lead` is the family's own axes: none for ranks, the pairs for pair
+        tables, the dimensions for product factors."""
+        raise NotImplementedError
+
+    def swap_weigh(self, inst: "Instance", rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Weights of swapped vectors from outside parts `rows` and inside
+        parts `cols` (taken from `swap_parts`' [0] and [1]; their axes after
+        the lead axes broadcast against each other): each entry the float
+        `batch` gives the vector with its coordinates outside the mask from
+        the row and inside it from the column, in the broadcast shape
+        without the lead axes."""
+        raise NotImplementedError
+
     def swap_matrix(self, inst: "Instance", perms: np.ndarray, dims: frozenset) -> np.ndarray:
         """(n, n) float64 matrix of the weights of swap(A^i, A^k, dims) for
         the (s, n) perms of an assignment A: entry (i, k) is the vector of
         row i with its coordinates in dims taken from row k, the float
         `batch` gives that vector. Raises ValueError for a dimension
         outside 0..s-1."""
-        raise NotImplementedError
+        parts = self.swap_parts(perms, self.swap_selector((_swap_sides(self.shape[0], dims),)))
+        # each row's outside parts down a column, each column's inside parts along a row
+        return self.swap_weigh(inst, parts[0].swapaxes(-1, -2), parts[1])
 
     def min_weight_floor(self) -> float:
         """A lower bound on every vector weight; exact minimum not required."""
@@ -142,33 +179,48 @@ def _swap_sides(s: int, dims: frozenset) -> tuple[bool, ...]:
     return tuple(j in dims for j in range(s))
 
 
+def _side_masks(sides: tuple[tuple[bool, ...], ...]) -> np.ndarray:
+    """(2, U, s) bool: per mask and dimension, whether the dimension lies
+    outside the mask ([0]) and inside it ([1])."""
+    inside = np.array(sides, dtype=bool)
+    return np.stack([~inside, inside])
+
+
 @lru_cache(maxsize=512)
-def _rank_selector(s: int, n: int, dims: frozenset) -> np.ndarray:
-    """(2, s) uint64 place values of the dimensions outside dims (row 0)
-    and inside it (row 1): times a uint64 view of an assignment's perms,
-    the row and column parts of its swap matrix's ranks. Read-only."""
-    inside = np.array(_swap_sides(s, dims))
+def _rank_selector(s: int, n: int, sides: tuple) -> np.ndarray:
+    """(2, U, s) uint64 place values of the dimensions outside each mask
+    ([0]) and inside it ([1]), 0 for the others: times a uint64 view of
+    (s, m) vectors, their rank parts. Read-only."""
     strides = n ** np.arange(s - 1, -1, -1, dtype=np.uint64)
-    sel = np.where([~inside, inside], strides, np.uint64(0))
+    sel = np.where(_side_masks(sides), strides, np.uint64(0))
     sel.flags.writeable = False
     return sel
 
 
 @lru_cache(maxsize=512)
-def _pair_selector(s: int, n: int, dims: frozenset) -> tuple[np.ndarray, np.ndarray]:
-    """(2, pairs, s) int64 selector of the row part (0) and column part (1)
-    of a swap matrix's flat pair-table indices, and the (pairs, 1) table
-    offsets: pair (i, j) indexes its table at offset + n * x_i + x_j, each
-    coordinate read from the row outside dims and from the column inside
-    it. Read-only."""
-    inside = _swap_sides(s, dims)
-    sel = np.zeros((2, s * (s - 1) // 2, s), dtype=np.int64)
+def _pair_selector(s: int, n: int, sides: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(2, pairs, U, s) int64 selector of the flat pair-table index parts
+    outside each mask ([0]) and inside it ([1]), and the (2, pairs, 1, 1)
+    table offsets, on the outside parts only: pair (i, j) indexes its table
+    at offset + n * x_i + x_j, each coordinate read from the side that
+    holds its dimension. Read-only."""
+    side = _side_masks(sides)
+    sel = np.zeros((2, s * (s - 1) // 2, len(sides), s), dtype=np.int64)
     for p, (i, j) in enumerate(combinations(range(s), 2)):
-        sel[int(inside[i]), p, i] = n
-        sel[int(inside[j]), p, j] = 1
-    offsets = (np.arange(sel.shape[1]) * n * n)[:, None]
+        sel[:, p, :, i] = side[:, :, i] * n
+        sel[:, p, :, j] = side[:, :, j]
+    offsets = np.zeros((2, sel.shape[1], 1, 1), dtype=np.int64)
+    offsets[0, :, 0, 0] = np.arange(sel.shape[1]) * n * n
     sel.flags.writeable = offsets.flags.writeable = False
     return sel, offsets
+
+
+@lru_cache(maxsize=512)
+def _factor_selector(sides: tuple) -> np.ndarray:
+    """`_side_masks(sides)` as (2, s, U, 1), dimension first. Read-only."""
+    sel = _side_masks(sides).transpose(0, 2, 1)[..., None]
+    sel.flags.writeable = False
+    return sel
 
 
 class _RankWeights(WeightModel):
@@ -178,13 +230,13 @@ class _RankWeights(WeightModel):
     A batch ranks its (m, s) coordinates by one product with the place
     values, run on a uint64 view of them, so nothing is copied. A grid adds
     the per-dimension terms S_j * stride_j by outer sums into a rank grid in
-    C order, the batch axis, if any, kept last. A swap matrix's ranks are
-    the outer sum of a row part and a column part, both from one product of
-    the perms with a (2, s) selector of place values (`_rank_selector`).
-    All wrap mod 2^64 alike, so they give the same ranks, exact while
-    n^s <= 2^64. Each hands its fresh
-    C-contiguous rank array, with a view of the vectors' dimension-0 values
-    that broadcasts against it, to the model's `_weigh_ranks`.
+    C order, the batch axis, if any, kept last. Swap parts are rank parts:
+    one product of a (2, U, s) selector of place values with the vectors
+    (`_rank_selector`) gives, per mask, the sum of the terms outside it and
+    of those inside it, and a swapped vector's rank is a row's outside part
+    plus a column's inside part. All wrap mod 2^64 alike, so they give the
+    same ranks, exact while n^s <= 2^64. Each hands its fresh C-contiguous
+    rank array to the model's `_weigh_ranks`.
     """
 
     def __init__(self, s: int, n: int):
@@ -194,26 +246,30 @@ class _RankWeights(WeightModel):
     def _ranks(self, coords: np.ndarray) -> np.ndarray:
         return coords.view(np.uint64) @ self._strides
 
-    def _weigh_ranks(self, inst: "Instance", rank: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Weights of the vectors with the given ranks and dimension-0
-        values `rows`; the rank buffer may be overwritten."""
+    def _weigh_ranks(self, inst: "Instance", rank: np.ndarray) -> np.ndarray:
+        """Weights of the vectors with the given ranks; the rank buffer may
+        be overwritten."""
         raise NotImplementedError
 
     def batch(self, inst, coords):
-        return self._weigh_ranks(inst, self._ranks(coords), coords[:, 0])
+        return self._weigh_ranks(inst, self._ranks(coords))
 
     def grid(self, inst, sets):
         new = _NEW_AXIS[sets[0].ndim]
         rank = sets[0].view(np.uint64) * self._strides[0]
         for x, stride in zip(sets[1:], self._strides[1:]):
             rank = rank[new] + x.view(np.uint64) * stride
-        return self._weigh_ranks(inst, rank, _along(sets[0], 0, len(sets)))
+        return self._weigh_ranks(inst, rank)
 
-    def swap_matrix(self, inst, perms, dims):
-        s, n = self.shape
-        rows, cols = _rank_selector(s, n, dims) @ perms.view(np.uint64)
-        first = perms[0][None, :] if 0 in dims else perms[0][:, None]
-        return self._weigh_ranks(inst, np.add.outer(rows, cols), first)
+    def swap_selector(self, sides):
+        return _rank_selector(*self.shape, sides)
+
+    def swap_parts(self, vecs, sel):
+        return sel @ vecs.view(np.uint64)
+
+    def swap_weigh(self, inst, rows, cols):
+        # C order whatever the parts' layout: the hash works in this buffer
+        return self._weigh_ranks(inst, np.add(rows, cols, order="C"))
 
 
 class LazyRandom(_RankWeights):
@@ -227,8 +283,8 @@ class LazyRandom(_RankWeights):
     i.e. near-identical weight landscapes.
 
     The ranks are hashed in their own buffer, `_HASH_CHUNK` values at a
-    time, so that each of the dozen numpy steps reads what the last one
-    left in cache. The remainder is taken as z - (z // span) * span, and
+    time (`_hash`), so that each of the dozen numpy steps reads what the
+    last one left in cache. The remainder is taken as z - (z // span) * span, and
     remainders of a span up to 2^63 convert to float through an int64
     view; both give the float `np.remainder` and a uint64 conversion would.
     """
@@ -257,8 +313,9 @@ class LazyRandom(_RankWeights):
         # remainders below 2^63 are read as int64, which numpy converts to
         # float faster than uint64, to the same float
         self._exact = np.int64 if self.b - self.a <= 2**63 else np.uint64
+        self._bound_sums(True, self.b - 1)
 
-    def _weigh_ranks(self, inst, rank, rows):
+    def _weigh_ranks(self, inst, rank):
         # computed in the rank array's own buffer, one chunk at a time: the
         # rank array is fresh and C-contiguous, so z is a view of it
         z = rank.ravel()
@@ -266,19 +323,23 @@ class LazyRandom(_RankWeights):
         t = np.empty(min(z.size, _HASH_CHUNK), dtype=np.uint64)
         for lo in range(0, z.size, _HASH_CHUNK):
             c = z[lo : lo + _HASH_CHUNK]
-            t = t[: c.size]
-            c += key
-            mix64_array(c, t)
-            # c mod span as c - (c // span) * span: numpy divides a uint64
-            # array by a scalar several times faster than it takes the
-            # remainder
-            np.floor_divide(c, self._span, out=t)
-            t *= self._span
-            c -= t
-            w = c.view(np.float64)
-            w[...] = c.view(self._exact)
-            w += self._base
+            self._hash(c, t[: c.size], key)
         return rank.view(np.float64)
+
+    def _hash(self, c: np.ndarray, t: np.ndarray, key: np.ndarray) -> None:
+        """Turn the uint64 ranks c into their float64 weights in place, with
+        t, of c's size, as scratch."""
+        c += key
+        mix64_array(c, t)
+        # c mod span as c - (c // span) * span: numpy divides a uint64
+        # array by a scalar several times faster than it takes the
+        # remainder
+        np.floor_divide(c, self._span, out=t)
+        t *= self._span
+        c -= t
+        w = c.view(np.float64)
+        w[...] = c.view(self._exact)
+        w += self._base
 
     def min_weight_floor(self):
         return float(self.a)
@@ -289,7 +350,9 @@ class Planted(LazyRandom):
     assignment, which is therefore an optimal solution of weight a*n. The
     planted vectors' ranks are computed once, indexed by their row (their
     dimension-0 coordinate), so a vector is planted iff its rank equals the
-    planted rank of its row."""
+    planted rank of its row. A vector's row is its rank's leading digit,
+    rank // n^(s-1), so each hash chunk finds its planted vectors before it
+    is hashed, with no array larger than the chunk."""
 
     family = Family.PLANTED
 
@@ -297,12 +360,13 @@ class Planted(LazyRandom):
         super().__init__(planted.s, planted.n, a, b)
         self.planted = planted
         self._planted_rank = self._ranks(planted.perms.T)
+        self._row_stride = self._strides[0]
 
-    def _weigh_ranks(self, inst, rank, rows):
-        hit = rank == self._planted_rank[rows]
-        w = super()._weigh_ranks(inst, rank, rows)
-        w[hit] = self.a
-        return w
+    def _hash(self, c, t, key):
+        np.floor_divide(c, self._row_stride, out=t)
+        hit = c == self._planted_rank.take(t.view(np.int64))
+        super()._hash(c, t, key)
+        c.view(np.float64)[hit] = self.a
 
 
 class ExplicitTensor(_RankWeights):
@@ -321,8 +385,9 @@ class ExplicitTensor(_RankWeights):
         super().__init__(s, n)
         self.values = vals
         self._min = float(vals.min()) if len(vals) else 0.0
+        self._bound_sums((vals == np.trunc(vals)).all(), vals.max() if len(vals) else 0.0)
 
-    def _weigh_ranks(self, inst, rank, rows):
+    def _weigh_ranks(self, inst, rank):
         return self.values[rank]
 
     def min_weight_floor(self):
@@ -339,15 +404,19 @@ class CliqueSum(WeightModel):
     blocks of `_PAIR_BLOCK` rows: one flat index per (pair, row) over the
     transposed block, one `take` from the stack, and one sum over the pair
     axis, which adds the pairs in pair order as a running sum would, so
-    every weight is the same float. A swap matrix takes its (pairs, n, n)
-    indices as the outer sum of a row part and a column part, each one
-    product of the perms with a (pairs, s) selector (`_pair_selector`),
-    then runs the batch's take and sum. A grid adds one broadcast table
-    slice per pair, in pair order, into its output: the same sums in the
-    same order, with or without a batch axis.
+    every weight is the same float. Swap parts are flat index parts: one
+    product of a (2, pairs, U, s) selector (`_pair_selector`) with the
+    vectors gives, per pair and mask, the index terms of the
+    coordinates outside the mask (with the pair's table offset) and inside
+    it; a swapped vector's (pairs, ...) indices are a row's outside parts
+    plus a column's inside parts, weighed by the batch's take and sum. A
+    grid adds one broadcast table slice per pair, in pair order, into its
+    output: the same sums in the same order, with or without a batch axis.
     """
 
     family = Family.CLIQUE
+    # whether `_finish` rounds every weight to an integer
+    _rounds = False
 
     def __init__(self, s: int, mats: dict[tuple[int, int], np.ndarray]):
         self.mats = {k: np.asarray(v, dtype=np.float64) for k, v in sorted(mats.items())}
@@ -376,6 +445,7 @@ class CliqueSum(WeightModel):
             heaviest = self._table_sum(np.max) if n else 0.0
         if not np.isfinite(heaviest):
             raise ValueError("pair matrix entries too large: the heaviest vector weight overflows")
+        self._bound_sums(self._rounds or (self._stack == np.trunc(self._stack)).all(), heaviest)
 
     def _terms(self, stack: np.ndarray) -> np.ndarray:
         """The stacked table entries the sums add: the tables themselves
@@ -413,13 +483,18 @@ class CliqueSum(WeightModel):
         else:
             np.add.reduce(terms, axis=0, out=out)
 
-    def swap_matrix(self, inst, perms, dims):
-        s, n = self.shape
-        sel, offsets = _pair_selector(s, n, dims)
-        rows, cols = sel @ perms
-        rows += offsets
-        out = np.empty((n, n))
-        self._sum_pairs(rows[:, :, None] + cols[:, None, :], out)
+    def swap_selector(self, sides):
+        return _pair_selector(*self.shape, sides)
+
+    def swap_parts(self, vecs, sel):
+        parts = sel[0] @ vecs
+        parts += sel[1]
+        return parts
+
+    def swap_weigh(self, inst, rows, cols):
+        idx = rows + cols
+        out = np.empty(idx.shape[1:])
+        self._sum_pairs(idx, out)
         return self._finish(out)
 
     def grid(self, inst, sets):
@@ -450,6 +525,7 @@ class SquareRootSquares(CliqueSum):
     keeps the distances."""
 
     family = Family.SQUAREROOT
+    _rounds = True
 
     def _terms(self, stack):
         return stack**2
@@ -465,6 +541,7 @@ class GeometricPoints(CliqueSum):
     them, so `mats` holds the distances."""
 
     family = Family.GEOMETRIC
+    _rounds = True
 
     def __init__(self, points: Sequence[np.ndarray]):
         self.points = [np.asarray(p, dtype=np.float64) for p in points]
@@ -506,12 +583,13 @@ class ProductWeights(WeightModel):
             heaviest *= float(f.max()) if len(f) else 0.0
         if not np.isfinite(heaviest):
             raise ValueError("product factors too large: the heaviest vector weight overflows")
-        # integral factors and n times the heaviest weight below 2^53: every
-        # product of factors and every sum of n products is an exact float64
-        # integer, whatever the order, so a 2-AP's optimal cost is one float
-        # (dv_search decides some solves by sorting on this)
-        integral = all((f == np.trunc(f)).all() for f in self.factors)
-        self._exact_sums = integral and self.shape[1] * heaviest < 2**53
+        # with integral factors every product of factors is an exact float64
+        # integer too, whatever the order, so a 2-AP's optimal cost is one
+        # float (dv_search decides some solves by sorting on this)
+        self._bound_sums(all((f == np.trunc(f)).all() for f in self.factors), heaviest)
+        # the factors of dimension j in row j, and each row's index, for the swap parts
+        self._table = np.stack(self.factors) if self.factors else np.empty((0, 0))
+        self._dims = np.arange(self.shape[0])[:, None]
 
     def batch(self, inst, coords):
         acc = self.factors[0][coords[:, 0]].copy()
@@ -526,17 +604,18 @@ class ProductWeights(WeightModel):
             acc = acc[new] * f[x]
         return acc
 
-    def swap_matrix(self, inst, perms, dims):
-        # each dimension's factors as a row (read from the column) or a
-        # column (read from the row), multiplied by broadcasting in
-        # dimension order, as batch multiplies them
-        acc = None
-        for f, x, inside in zip(self.factors, perms, _swap_sides(self.shape[0], dims)):
-            v = f[x] if inside else f[x][:, None]
-            acc = v if acc is None else acc * v
-        n = self.shape[1]
-        # with every dimension on one side, no product has broadcast yet
-        return acc if acc.shape == (n, n) else np.broadcast_to(acc, (n, n)).copy()
+    def swap_selector(self, sides):
+        return _factor_selector(sides)
+
+    def swap_parts(self, vecs, sel):
+        # each vector's factor per dimension on the side that reads it, 1.0
+        # on the other, so a product of the two sides is that factor exactly
+        return np.where(sel, self._table[self._dims, vecs][:, None, :], 1.0)
+
+    def swap_weigh(self, inst, rows, cols):
+        # one factor per dimension, multiplied in dimension order, as batch
+        # multiplies them
+        return np.multiply.reduce(rows * cols, axis=0)
 
     def min_weight_floor(self):
         out = 1.0

@@ -69,15 +69,27 @@ def _parse_header(line: str):
         family = Family(parts[3].lower())
     except ValueError as exc:
         raise ValueError(f"bad instance header: {line.strip()!r}") from exc
+    if s < 1 or n < 1:
+        raise ValueError(f"instance header needs s, n >= 1, got s={s} n={n}")
+    if s < 3:
+        raise ValueError(f"instance header needs s >= 3, got s={s}")
     return s, n, family, seed
 
 
-def load_instance(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+def _numbers(tokens: list[str]) -> list[float]:
+    values = []
+    for t in tokens:
+        try:
+            values.append(float(t))
+        except ValueError:
+            raise ValueError(f"non-numeric value {t!r}") from None
+    return values
+
+
+def _parse_instance(text: str) -> Instance:
     lines = text.splitlines()
     if not lines:
-        raise ValueError(f"{path}: empty instance file")
+        raise ValueError("empty instance file")
     s, n, family, seed = _parse_header(lines[0])
     rest = "\n".join(lines[1:])
 
@@ -85,18 +97,26 @@ def load_instance(path) -> Instance:
         return build_generated_instance(family, s, n, seed)
 
     if family == Family.EXPLICIT:
-        tokens = rest.split()
-        values = np.asarray([float(t) for t in tokens], dtype=np.float64)
-        return Instance(ExplicitTensor(s, n, values), seed)
+        return Instance(ExplicitTensor(s, n, _numbers(rest.split())), seed)
 
     layout = LAYOUTS[family]
     _, sentinel, data = rest.partition("DATA")
     if not sentinel:
-        raise ValueError(f"{path}: missing DATA sentinel for family {family.value}")
-    tokens = [float(t) for t in data.split()]
+        raise ValueError(f"missing DATA sentinel for family {family.value}")
+    tokens = _numbers(data.split())
     if len(tokens) != layout.size(s, n):
-        raise ValueError(f"{path}: expected {layout.size(s, n)} {family.value} values, got {len(tokens)}")
+        raise ValueError(f"expected {layout.size(s, n)} {family.value} values, got {len(tokens)}")
     return Instance(layout.model(s, n, tokens), seed)
+
+
+def load_instance(path) -> Instance:
+    """Read an instance file; every ValueError names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return _parse_instance(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def dump_assignment(a: Assignment, out: TextIO) -> None:

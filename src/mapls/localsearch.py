@@ -26,7 +26,10 @@ Three families:
   previous result, ``combined`` a later k-opt phase the previous phase's),
   the first sweep screens only the subsets holding a row changed since
   that optimum, and `candidate_evals` counts only the subsets screened or
-  re-verified. Every skip is exact;
+  re-verified. Every skip is exact. v-opt weighs its chain steps and its
+  pair-minimum table through the weight model's swap kernels
+  (`swap_parts`, `swap_weigh`), from the rows' parts on its swap masks,
+  with no candidate coordinates built;
 * ``combined``: alternate a dimensionwise and a vectorwise search until the
   assignment is a local optimum of both.
 """
@@ -58,8 +61,8 @@ EPS = 1e-9
 # and nothing else: a block is screened on the assignment at its start, so
 # this size decides which screens see which commits and so the results
 _BATCH_ROWS = 1_200_000
-# recombination rows per k-opt screen chunk and candidate vectors per v-opt
-# table block. It bounds the screen's per-thread buffers (0.69 to 0.77 MB
+# recombination rows per k-opt screen chunk and swap part entries per v-opt
+# table block (a block holds at least one table row). It bounds the screen's per-thread buffers (0.69 to 0.77 MB
 # for 3-opt at s = 3 to 5) whatever the block size, and no result depends
 # on it.
 # Smaller chunks pay numpy's per-call overhead more often: on a 2-vCPU VM,
@@ -509,36 +512,53 @@ def _swap_masks(s: int, max_size: int) -> np.ndarray:
     return masks
 
 
-def _pair_minima(inst: Instance, vecs: np.ndarray, ci: np.ndarray, mi: np.ndarray,
-                 masks: np.ndarray) -> np.ndarray:
-    """min over D in masks of w(swap(vecs[ci], vecs[mi], D)) for each pair
-    (ci[k], mi[k]); vecs is (n, s). Evaluated in blocks of at most
-    _CHUNK_ROWS candidate vectors."""
-    s, u = inst.s, len(masks)
-    out = np.empty(len(ci))
-    step = max(1, _CHUNK_ROWS // u)
-    for lo in range(0, len(ci), step):
-        # mask-major layout: the min over masks reduces along the outer axis
-        cand = np.where(masks[:, None, :], vecs[mi[lo : lo + step]], vecs[ci[lo : lo + step]])
-        out[lo : lo + step] = inst.weight_batch(cand.reshape(-1, s)).reshape(u, -1).min(axis=0)
+@lru_cache(maxsize=32)
+def _mask_moves(s: int, max_size: int) -> tuple[tuple, tuple]:
+    """The masks of `_swap_masks(s, max_size)` as tuples of s bools, and per
+    mask the dimensions a chain step on it exchanges between the current
+    row and the chosen row: the mask's own, or, when it holds dimension 0,
+    the others, so that every vector stays in the row of its dimension-0
+    value."""
+    sides = tuple(map(tuple, _swap_masks(s, max_size).tolist()))
+    return sides, tuple(tuple(j for j in range(s) if m[j] != m[0]) for m in sides)
+
+
+def _pair_minima(inst: Instance, parts: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(len(rows), len(cols)) table of the least weight, over the swap
+    masks, of swap(row r, row c, D), from the assignment's swap parts
+    (`swap_parts` of its vectors on the masks): each row's outside parts
+    against each column's inside parts. Weighed a block of table rows at a
+    time, each block at most _CHUNK_ROWS part entries (at least one row)."""
+    weigh = inst.weights.swap_weigh
+    out = np.empty((len(rows), len(cols)))
+    inside = parts[1][..., None, cols, :]
+    step = max(1, _CHUNK_ROWS // max(1, inside.size))
+    for lo in range(0, len(rows), step):
+        out[lo : lo + step] = weigh(inst, parts[0][..., rows[lo : lo + step], None, :], inside).min(axis=-1)
     return out
 
 
-def _refresh_pair_minima(inst, a, pair_min, changed, live, masks) -> int:
-    """Recompute, in one batch, the table entries of the live rows that the
-    `changed` rows of a can have moved: the whole table row of a changed
-    live row, and the changed columns of every other live row. A row is
-    live when its weight exceeds the floor by more than EPS; the table rows
-    of the others are never read, so they are left stale. Returns the
-    number of weights evaluated."""
+def _refresh_pair_minima(inst, parts, pair_min, changed, live) -> int:
+    """Recompute the table entries of the live rows that the `changed` rows
+    can have moved: the whole table row of a changed live row, and the
+    changed columns of every other live row. A row is live when its weight
+    exceeds the floor by more than EPS; the table rows of the others are
+    never read, so they are left stale. Returns the number of weights
+    evaluated."""
     n = inst.n
     fresh, kept = np.flatnonzero(changed & live), np.flatnonzero(~changed & live)
     cols = np.flatnonzero(changed)
-    ci = np.concatenate([np.repeat(fresh, n), np.repeat(kept, len(cols))])
-    mi = np.concatenate([np.tile(np.arange(n), len(fresh)), np.tile(cols, len(kept))])
-    pair_min[ci, mi] = _pair_minima(inst, a.perms.T, ci, mi, masks)
+    pair_min[fresh] = _pair_minima(inst, parts, fresh, np.arange(n))
     pair_min[fresh, fresh] = np.inf
-    return len(ci) * len(masks)
+    pair_min[kept[:, None], cols] = _pair_minima(inst, parts, kept, cols)
+    return (len(fresh) * n + len(kept) * len(cols)) * parts.shape[-1]
+
+
+def _dead_starts(w_rows: np.ndarray, pair_min: np.ndarray, floor: float) -> list[bool]:
+    """Per row, whether a chain from it fails its first gain test: its
+    weight is within EPS of the floor or of its row's least pair minimum."""
+    return [w - floor <= EPS or w - m <= EPS
+            for w, m in zip(w_rows.tolist(), pair_min.min(axis=1).tolist())]
 
 
 def v_opt(inst: Instance, a: Assignment, variant: str = "improved") -> LocalSearchReport:
@@ -563,30 +583,37 @@ def v_opt(inst: Instance, a: Assignment, variant: str = "improved") -> LocalSear
       dead whatever its table row says: only the live rows, above it, have
       their table rows weighed. After a start that changed the assignment,
       the rows of the changed live rows and the changed columns of the
-      other live rows are recomputed.
+      other live rows are recomputed, and the list of dead starts with
+      them.
     * chain cut: rows the chain has left never change again, and the
       current and available rows weigh at least the floor. Once that lower
       bound on every later total reaches the chain's best total (compared
       without EPS, so rounding cannot hide an improving state), the chain
       stops.
 
-    The available rows of a chain are kept compact, in ascending order,
-    with their weights and their coordinates on each swap mask; a row that
-    leaves shifts the later ones down, so the first minimum is still found
-    in row-major order and the chain cut sums the same weights in the same
-    order as a fresh gather would. Each chain step is one weight batch: the
-    current vector against every swap mask of every available row. Mask 0
-    swaps nothing, so the batch also weighs the current vector, which is
-    v-bar of the step before; that step's total update and best check
-    therefore run after the batch and before the chain cut. Only a chain
-    that runs out of available rows weighs its last v-bar on its own.
+    Everything is weighed through the model's swap kernels: the
+    assignment's swap parts on the masks are taken once per change, and
+    the pair-minimum table and every chain step weigh rows' outside parts
+    against columns' inside parts. The available rows of a chain are kept
+    compact, in ascending order, with their inside parts on each mask; a
+    row that leaves shifts the later ones down, so the first minimum of a
+    step's (row, mask) grid is still found in row-major order. Each step
+    weighs the current vector's outside parts against that grid, once.
+    Mask 0 swaps nothing, so the grid also weighs the current vector, which
+    is v-bar of the step before; that step's total update and best check
+    therefore run after the grid and before the chain cut. Only a chain
+    that runs out of available rows weighs its last v-bar on its own, on
+    mask 0. The chain cut's sum of the available weights is kept as a
+    running sum where the model's weights are integers whose sums are all
+    exact (the same float as summing them afresh), and summed afresh
+    otherwise.
 
     candidate_evals counts every weight evaluated: the table entries of
-    live rows, each chain step's batch (also the batch of a step the chain
-    cut then ends), and the one-vector batch of a chain that runs out of
-    rows. The chain compares an incrementally updated total; final_weight
-    is the sum of the re-evaluated row weights, so it carries no
-    accumulated rounding.
+    live rows, each chain step's grid (also the grid of a step the chain
+    cut then ends), and the one weight of a chain that runs out of rows.
+    The chain compares an incrementally updated total; final_weight is the
+    sum of the re-evaluated row weights, so it carries no accumulated
+    rounding.
     """
     if variant not in V_VARIANTS:
         raise ValueError(f"unknown v-opt variant {variant!r}")
@@ -594,8 +621,13 @@ def v_opt(inst: Instance, a: Assignment, variant: str = "improved") -> LocalSear
         raise ValueError("v-opt needs n >= 2")
     t0 = time.perf_counter()
     s, n = inst.s, inst.n
-    masks = _swap_masks(s, 1 if variant == "natural" else s // 2)
+    sides, moves = _mask_moves(s, 1 if variant == "natural" else s // 2)
+    u = len(sides)
+    model = inst.weights
+    sel, swap_parts, weigh = model.swap_selector(sides), model.swap_parts, model.swap_weigh
+    running = model._exact_sums
     a = a.copy()
+    perms = a.perms
     w_rows = row_weights(inst, a)
     total = float(w_rows.sum())
     w0 = total
@@ -603,82 +635,90 @@ def v_opt(inst: Instance, a: Assignment, variant: str = "improved") -> LocalSear
     idx = np.arange(n)
     pair_min = np.full((n, n), np.inf)
     # the first table: every row counts as changed
-    evals = _refresh_pair_minima(inst, a, pair_min, np.ones(n, dtype=bool), w_rows - floor > EPS,
-                                 masks)
+    parts = swap_parts(perms, sel).swapaxes(-1, -2)
+    evals = _refresh_pair_minima(inst, parts, pair_min, np.ones(n, dtype=bool), w_rows - floor > EPS)
+    dead = _dead_starts(w_rows, pair_min, floor)
     passes = clean = 0
     c0 = n - 1
     while clean < n:
         c0 = (c0 + 1) % n
         if c0 == 0:
             passes += 1
-        w_start = float(w_rows[c0])
-        if w_start - floor <= EPS or w_start - float(pair_min[c0].min()) <= EPS:
+        if dead[c0]:
             clean += 1
             continue  # the first step would not gain: nothing changes
-        start_perms = best_perms = a.perms.copy()
+        start_perms = best_perms = perms.copy()
         best_rows = w_rows.copy()
         best_total = total
-        # the t available rows: ids, weights and coordinates on each mask
-        rows = idx[idx != c0]
-        w_avail = w_rows[rows]
-        m_part = np.where(masks, a.perms.T[rows, None, :], 0)
+        # the t available rows: ids, inside parts on each mask, and weights
+        # (or their sum)
+        avail = idx[idx != c0]
+        rows = avail.tolist()
+        m_part = parts[1].take(avail, axis=-2)
+        if running:
+            w_sum = float(w_rows[avail].sum())
+        else:
+            w_avail = w_rows[avail]
         t = n - 1
         c_row = c0
+        w_cur = float(w_rows[c0])
         gain = 0.0
         pending = None  # the step taken last, until its w(v-bar) is read
         while True:
-            c_vec = a.perms[:, c_row]
-            if t:
-                cand = m_part[:t] + np.where(masks, 0, c_vec)
-                w = inst.weight_batch(cand.reshape(-1, s)).reshape(t, -1)
-                evals += w.size
+            out = swap_parts(perms[:, c_row, None], sel)[0].swapaxes(-1, -2)
+            # mask 0 swaps nothing: every row's inside part on it is neutral
+            w = weigh(inst, out, m_part[..., :t, :]) if t else weigh(inst, out[..., :1], m_part[..., :1, :1])
+            evals += w.size
             if pending is not None:
-                # c_vec is v-bar; mask 0 swaps nothing, so column 0 holds its weight
-                if t:
-                    w_vbar = float(w[0, 0])
-                else:
-                    w_vbar = float(inst.weight_batch(c_vec[None, :])[0])
-                    evals += 1
-                w_v, p_row, m_row, v_row = pending
-                total += w_v + w_vbar - float(w_rows[p_row]) - float(w_rows[m_row])
+                # the current vector is v-bar; mask 0 swaps nothing, so column 0 holds its weight
+                w_vbar = float(w[0, 0])
+                w_v, w_p, w_m, v_row = pending
+                total += w_v + w_vbar - w_p - w_m
                 w_rows[v_row] = w_v
-                w_rows[c_row] = w_vbar
+                w_rows[c_row] = w_cur = w_vbar
                 if total < best_total - EPS:
-                    best_perms = a.perms.copy()
+                    best_perms = perms.copy()
                     best_rows = w_rows.copy()
                     best_total = total
             if not t:
                 break
-            lb = total - float(w_rows[c_row]) - float(w_avail[:t].sum()) + (t + 1) * floor
+            lb = total - w_cur - (w_sum if running else float(w_avail[:t].sum())) + (t + 1) * floor
             if lb >= best_total:
                 break
             # the first minimum in row-major order, as min/argmin per row
-            mi, di = divmod(int(np.argmin(w)), len(masks))
+            mi, di = divmod(int(w.argmin()), u)
             w_v = float(w[mi, di])
-            gain += float(w_rows[c_row]) - w_v
+            gain += w_cur - w_v
             if gain <= EPS:
                 break
-            m_row = int(rows[mi])
-            v = cand[mi, di]
-            v_bar = np.where(v == c_vec, a.perms[:, m_row], c_vec)
+            m_row = rows.pop(mi)
+            w_m = float(w_rows[m_row])
             t -= 1
-            rows[mi:t] = rows[mi + 1 : t + 1]
-            w_avail[mi:t] = w_avail[mi + 1 : t + 1]
-            m_part[mi:t] = m_part[mi + 1 : t + 1]
-            pending = (w_v, c_row, m_row, int(v[0]))
-            a.perms[:, v[0]] = v
-            a.perms[:, v_bar[0]] = v_bar
-            c_row = int(v_bar[0])
+            m_part[..., mi:t, :] = m_part[..., mi + 1 : t + 1, :]
+            if running:
+                w_sum -= w_m
+            else:
+                w_avail[mi:t] = w_avail[mi + 1 : t + 1]
+            # v takes the row of its dimension-0 value, v-bar the other one
+            for j in moves[di]:
+                perms[j, c_row], perms[j, m_row] = perms[j, m_row], perms[j, c_row]
+            if sides[di][0]:
+                pending = (w_v, w_cur, w_m, m_row)
+            else:
+                pending = (w_v, w_cur, w_m, c_row)
+                c_row = m_row
         # keep the best assignment seen along the chain
-        a.perms[:] = best_perms
+        perms[:] = best_perms
         w_rows[:] = best_rows
         total = best_total
         if best_perms is start_perms:
             clean += 1
         else:
             clean = 0
-            changed = (a.perms != start_perms).any(axis=0)
-            evals += _refresh_pair_minima(inst, a, pair_min, changed, w_rows - floor > EPS, masks)
+            changed = (perms != start_perms).any(axis=0)
+            parts = swap_parts(perms, sel).swapaxes(-1, -2)
+            evals += _refresh_pair_minima(inst, parts, pair_min, changed, w_rows - floor > EPS)
+            dead = _dead_starts(w_rows, pair_min, floor)
     return _report(a, w0, float(w_rows.sum()), passes, 0, evals, t0)
 
 

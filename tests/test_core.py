@@ -747,6 +747,58 @@ def test_swap_matrix_kernels_match_reference(tag):
                     assert got.tobytes() == want.tobytes(), (tag, s, n, dims)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tag", ["r", "gp", "explicit", "explicit-zero", "c", "c-float", "c-zero",
+                                 "sr", "sr-zero", "g", "p", "p-float"])
+def test_swap_parts_kernel_matches_weight_batch(tag):
+    # the (row, column, mask) weights that v-opt's chain steps and pair-minimum
+    # table read, from swap_parts and swap_weigh, are weight_batch's floats of
+    # the coordinate build, byte for byte: one row against t = 1..n-1 columns
+    # (a chain step), and every row against every column (the table)
+    from mapls.localsearch import _swap_masks
+
+    for s in range(3, 9):
+        n = _GRID_SIZES[s]
+        rng = np.random.default_rng([s, n, len(tag), 1])
+        inst = Instance(_swap_model(tag, s, n, rng), 0)
+        model = inst.weights
+        perms = np.vstack([np.arange(n)] + [rng.permutation(n) for _ in range(s - 1)])
+        vecs = perms.T
+        for max_size in (1, s // 2):
+            masks = _swap_masks(s, max_size)
+            sel = model.swap_selector(tuple(map(tuple, masks.tolist())))
+            # (2, *lead, vectors, masks), the layout v-opt reads
+            parts = model.swap_parts(perms, sel).swapaxes(-1, -2)
+            for t in range(1, n):
+                c = t % n
+                cols = [r for r in range(n) if r != c][:t]
+                got = model.swap_weigh(inst, parts[0][..., [c], :], parts[1][..., cols, :])
+                cand = np.where(masks, vecs[cols, None, :], vecs[c])
+                want = inst.weight_batch(cand.reshape(-1, s)).reshape(t, len(masks))
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (tag, s, max_size, t)
+            got = model.swap_weigh(inst, parts[0][..., :, None, :], parts[1][..., None, :, :])
+            cand = np.where(masks, vecs[None, :, None, :], vecs[:, None, None, :])
+            want = inst.weight_batch(cand.reshape(-1, s)).reshape(n, n, len(masks))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (tag, s, max_size)
+
+
+def test_exact_sums_on_every_family():
+    # integral weights whose n-fold sums stay below 2^53, and nothing else
+    two = np.full((2, 2), 2.0)
+    assert Instance(LazyRandom(3, 4, 1, 101), 0).weights._exact_sums
+    assert LazyRandom(3, 4, 0, 2**51)._exact_sums  # 4 * (2^51 - 1) = 2^53 - 4
+    assert not LazyRandom(3, 5, 0, 2**51)._exact_sums
+    assert ExplicitTensor(3, 2, np.arange(8.0))._exact_sums
+    assert not ExplicitTensor(3, 2, np.arange(8.0) + 0.5)._exact_sums
+    pairs = list(combinations(range(3), 2))
+    assert CliqueSum(3, {p: two for p in pairs})._exact_sums
+    assert not CliqueSum(3, {p: two + 0.25 for p in pairs})._exact_sums
+    # square-root and geometric weights are rounded, so their tables need not be integral
+    assert SquareRootSquares(3, {p: two + 0.25 for p in pairs})._exact_sums
+    assert GeometricPoints([np.array([[0.0, 0.0], [0.5, 0.25]])] * 3)._exact_sums
+    assert not CliqueSum(3, {p: np.full((2, 2), 2.0**51) for p in pairs})._exact_sums
+
+
 def test_swap_dimensions_outside_range_refused():
     inst = generate(parse_instance_name("3c5", 1))
     a = Assignment(np.vstack([np.arange(5), [1, 0, 2, 4, 3], [4, 3, 2, 1, 0]]))

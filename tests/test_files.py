@@ -158,3 +158,39 @@ def test_load_instance_errors(tmp_path):
     path.write_text("MAP 3 2 explicit 0\n1 2 3\n")
     with pytest.raises(ValueError):
         load_instance(path)  # wrong value count
+
+
+@pytest.mark.parametrize("header, message", [
+    ("MAP 3 -2 product 0", "needs s, n >= 1, got s=3 n=-2"),
+    ("MAP 3 0 clique 1", "needs s, n >= 1, got s=3 n=0"),
+    ("MAP 0 4 explicit 0", "needs s, n >= 1, got s=0 n=4"),
+    ("MAP 2 4 clique 1", "needs s >= 3, got s=2"),
+    ("MAP 2 3 explicit 0", "needs s >= 3, got s=2"),
+])
+def test_load_instance_refuses_bad_shapes_with_the_path(header, message, tmp_path):
+    # the header is checked before the body is counted, so a negative n
+    # cannot ask for a negative number of values
+    path = tmp_path / "bad.map"
+    path.write_text(header + "\nDATA\n")
+    with pytest.raises(ValueError) as err:
+        load_instance(path)
+    assert str(err.value) == f"{path}: instance header {message}"
+
+
+def test_load_instance_errors_name_the_file(tmp_path):
+    path = tmp_path / "bad.map"
+    cases = [
+        ("MAP 3 2 explicit 0\nDATA\n1 2 3 4 5 6 7\n", "non-numeric value 'DATA'"),
+        ("MAP 3 2 clique 1\nDATA\n1 x 3\n", "non-numeric value 'x'"),
+        ("MAP 3 x random 1\n", "bad instance header: 'MAP 3 x random 1'"),
+        ("", "empty instance file"),
+        ("MAP 3 2 clique 1\n1 2 3\n", "missing DATA sentinel for family clique"),
+        ("MAP 3 2 explicit 0\n1 2 3\n", "need n^s = 8 values, got 3"),
+        ("MAP 3 2 explicit 0\n" + "-1 " * 8, "weights must be non-negative"),
+        ("MAP 3 2 product 1\nDATA\n" + "1 " * 5, "expected 6 product values, got 5"),
+    ]
+    for text, message in cases:
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_instance(path)
+        assert str(err.value) == f"{path}: {message}", text

@@ -1274,20 +1274,30 @@ def test_vopt_final_weight_is_exact(rng):
 
 
 def test_vopt_batches_once_per_chain_step(monkeypatch):
-    # w(v-bar) is read from the next step's empty-swap column, so a one-row
-    # weight_batch call is made only after a chain's batch over its last
-    # available row (the |masks| candidates of that row), once per chain
+    # w(v-bar) is read from the next step's empty-swap column, so a one-weight
+    # swap kernel call is made only after a chain's grid over its last
+    # available row (the |masks| candidates of that row), once per chain; and
+    # nothing but the row weights goes through weight_batch
     inst = generate(parse_instance_name("5r8", 1))
     n_masks = len(_swap_masks(inst.s, inst.s // 2))
-    sizes = []
-    weight_batch = Instance.weight_batch
+    sizes, batches = [], []
+    model_class = type(inst.weights)
+    swap_weigh, weight_batch = model_class.swap_weigh, Instance.weight_batch
 
-    def counting(self, coords):
-        sizes.append(len(coords))
+    def counting(self, inst, rows, cols):
+        w = swap_weigh(self, inst, rows, cols)
+        sizes.append(w.size)
+        return w
+
+    def counting_batch(self, coords):
+        batches.append(len(coords))
         return weight_batch(self, coords)
 
-    monkeypatch.setattr(Instance, "weight_batch", counting)
+    monkeypatch.setattr(model_class, "swap_weigh", counting)
+    monkeypatch.setattr(Instance, "weight_batch", counting_batch)
     r = v_opt(inst, trivial(inst))
+    assert batches == [inst.n]
+    assert sum(sizes) == r.candidate_evals
     one_row = [i for i, m in enumerate(sizes) if m == 1]
     assert r.final_weight < r.initial_weight
     assert one_row, "no chain ran out of rows: pick an instance with longer chains"
@@ -1295,11 +1305,12 @@ def test_vopt_batches_once_per_chain_step(monkeypatch):
     assert len(one_row) <= r.passes * inst.n
 
 
-@pytest.mark.parametrize("vectors", [1, 7, 100])
+@pytest.mark.parametrize("vectors", [1, 7, 100, 1000])
 def test_vopt_table_blocks_change_nothing(monkeypatch, vectors):
     # each pair minimum is taken over its own masks, so the table comes out
-    # the same in blocks of any number of candidate vectors (1 and 7 weigh
-    # one pair a block, 100 a few pairs, with a short last block)
+    # the same in blocks of any number of part entries (1, 7 and 100 weigh
+    # one table row a block, 1000 several rows on 3r20 and 5r8, with a short
+    # last block)
     cases = [(inst, construct(inst))
              for inst in (generate(parse_instance_name(name, 1)) for name in ("3r20", "4c8", "5r8"))
              for construct in (trivial, greedy)]
@@ -1310,6 +1321,39 @@ def test_vopt_table_blocks_change_nothing(monkeypatch, vectors):
         assert r.result == ref.result
         assert (r.final_weight, r.passes, r.candidate_evals) == \
             (ref.final_weight, ref.passes, ref.candidate_evals)
+
+
+# v_opt reports recorded before its steps were weighed through the swap
+# kernels: (name, index, start, variant, sha256 of the result's perms,
+# final_weight, passes, candidate_evals)
+_VOPT_REPORTS = [
+    ("3r12", 1, "trivial", "improved", "516e2d44dff26db2", 33.0, 4, 9428),
+    ("3r12", 2, "perturbed", "natural", "9d8ca367e470e501", 44.0, 4, 6949),
+    ("3r30", 1, "greedy", "improved", "b88f2062e972ce24", 46.0, 4, 41934),
+    ("5r8", 1, "trivial", "improved", "e41a57e6514791ab", 14.0, 3, 5269),
+    ("5r8", 2, "greedy", "natural", "b4254e352356ed28", 21.0, 4, 2790),
+    ("3gp12", 1, "trivial", "improved", "eed8807fcbf0fbe9", 23.0, 3, 4584),
+    ("4gp6", 2, "perturbed", "improved", "536f1d2db4869184", 16.0, 3, 2214),
+    ("3c10", 1, "trivial", "natural", "39a1ad8c7f70fda9", 545.0, 3, 4459),
+    ("4c6", 1, "greedy", "improved", "bd7c287495a7364f", 1027.0, 3, 5617),
+    ("3sr10", 2, "trivial", "improved", "d09f8ad9641185a9", 311.0, 3, 5602),
+    ("5sr5", 1, "perturbed", "improved", "0abaebdbee4d3398", 608.0, 3, 3772),
+    ("4g6", 1, "trivial", "improved", "5f4754122efe89ad", 1192.0, 3, 3983),
+    ("6g4", 1, "trivial", "improved", "8f4dd37b664f1a7c", 2575.0, 3, 5008),
+    ("3p12", 1, "trivial", "improved", "d229d926069dd8b9", 2503.0, 2, 6485),
+    ("5p5", 2, "perturbed", "natural", "1e14bb6f0e666e28", 27793.0, 2, 830),
+    ("8c3", 1, "trivial", "improved", "faf90e6c6fa36eed", 3224.0, 3, 7831),
+]
+
+
+@pytest.mark.parametrize("case", _VOPT_REPORTS, ids=lambda c: f"{c[0]}#{c[1]}-{c[2]}-{c[3]}")
+def test_vopt_reports_match_the_recorded_ones(case):
+    name, index, start, variant, digest, weight, passes, evals = case
+    inst = generate(parse_instance_name(name, index))
+    a = {"trivial": trivial, "greedy": greedy}.get(start, lambda i: perturb(greedy(i), SplitMix64(index)))(inst)
+    r = v_opt(inst, a, variant)
+    assert hashlib.sha256(r.result.perms.tobytes()).hexdigest()[:16] == digest
+    assert (r.final_weight, r.passes, r.candidate_evals, r.ap2_calls) == (weight, passes, evals, 0)
 
 
 def test_vopt_requires_n_at_least_two():
