@@ -69,9 +69,9 @@ def _meta_from_args(args) -> MetaConfig | None:
     )
 
 
-def _add_instance_args(p, index_default=1):
+def _add_instance_args(p):
     p.add_argument("--name", required=True, help="instance name, e.g. 3r150 or 5gp12")
-    p.add_argument("--index", type=int, default=index_default, help="instance index (seed = s+n+index)")
+    p.add_argument("--index", type=int, default=1, help="instance index (seed = s+n+index)")
 
 
 def _add_meta_args(p):

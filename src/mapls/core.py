@@ -21,8 +21,8 @@ flat pair-table index parts, or one factor per dimension), and
 `swap_weigh` weighs a grid of (row, column, mask) from the rows' outside
 parts and the columns' inside parts, each entry the float `batch` gives the
 same vector. The swap matrices of the dimensionwise searches
-(`swap_matrix`, one mask), v-opt's chain steps and its pair-minimum table
-are all built from these two steps.
+(`swap_weight_matrix`, one mask), v-opt's chain steps and its pair-minimum
+table are all built from these two steps.
 
 Coordinates are 0-based everywhere in code; the text file formats speak
 1-based (see files.py).
@@ -153,16 +153,6 @@ class WeightModel:
         the row and inside it from the column, in the broadcast shape
         without the lead axes."""
         raise NotImplementedError
-
-    def swap_matrix(self, inst: "Instance", perms: np.ndarray, dims: frozenset) -> np.ndarray:
-        """(n, n) float64 matrix of the weights of swap(A^i, A^k, dims) for
-        the (s, n) perms of an assignment A: entry (i, k) is the vector of
-        row i with its coordinates in dims taken from row k, the float
-        `batch` gives that vector. Raises ValueError for a dimension
-        outside 0..s-1."""
-        parts = self.swap_parts(perms, self.swap_selector((_swap_sides(self.shape[0], dims),)))
-        # each row's outside parts down a column, each column's inside parts along a row
-        return self.swap_weigh(inst, parts[0].swapaxes(-1, -2), parts[1])
 
     def min_weight_floor(self) -> float:
         """A lower bound on every vector weight; exact minimum not required."""
@@ -792,7 +782,11 @@ def apply_dimension_permutation(a: Assignment, dims: Iterable[int], rho: np.ndar
 
 
 def swap_weight_matrix(inst: Instance, a: Assignment, dims: Iterable[int]) -> np.ndarray:
-    """(n, n) matrix M with M[i, j] = weight(swap(A^i, A^j, dims)), built by
-    the model's `swap_matrix`. Raises ValueError for a dimension outside
-    0..s-1."""
-    return inst.weights.swap_matrix(inst, a.perms, frozenset(dims))
+    """(n, n) float64 matrix M with M[i, k] = weight(swap(A^i, A^k, dims)):
+    the vector of row i with its coordinates in dims taken from row k, the
+    float `batch` gives that vector. Raises ValueError for a dimension
+    outside 0..s-1."""
+    model = inst.weights
+    parts = model.swap_parts(a.perms, model.swap_selector((_swap_sides(inst.s, frozenset(dims)),)))
+    # each row's outside parts down a column, each column's inside parts along a row
+    return model.swap_weigh(inst, parts[0].swapaxes(-1, -2), parts[1])

@@ -23,11 +23,10 @@ Three families:
   assignment at the block's start and weighed as one batched grid, so the
   screen's memory does not grow with the block. Handed its one hint, a
   known k-opt local optimum (the chained `2opt`/`3opt` callable passes its
-  previous result, ``combined`` a later k-opt phase the previous phase's),
-  the first sweep screens only the subsets holding a row changed since
-  that optimum, and `candidate_evals` counts only the subsets screened or
-  re-verified. Every skip is exact. v-opt weighs its chain steps and its
-  pair-minimum table through the weight model's swap kernels
+  previous result), the first sweep screens only the subsets holding a row
+  changed since that optimum, and `candidate_evals` counts only the subsets
+  screened or re-verified. Every skip is exact. v-opt weighs its chain
+  steps and its pair-minimum table through the weight model's swap kernels
   (`swap_parts`, `swap_weigh`), from the rows' parts on its swap masks,
   with no candidate coordinates built;
 * ``combined``: alternate a dimensionwise and a vectorwise search until the
@@ -209,14 +208,14 @@ def dv_search(
         if w <= origin_w and perms.tobytes() == origin:
             clean = len(plan)
     model = inst.weights
-    table = np.stack(model.factors) if isinstance(model, ProductWeights) and model._exact_sums else None
+    table = model._table if isinstance(model, ProductWeights) and model._exact_sums else None
     factors = None  # the (s, n) factors of the rows' vectors, renewed after a commit
     while clean < len(plan):
         dims, key, moved, inverse = plan[ap2_calls % len(plan)]
         ap2_calls += 1
         if table is not None:
             if factors is None:
-                factors = table[np.arange(inst.s)[:, None], perms]
+                factors = table[model._dims, perms]
                 row_w = factors.prod(axis=0)
             if _sorted_swap_cost(factors, row_w, dims) >= w - EPS:
                 clean += 1  # decided by sorting: the solve cannot commit
@@ -739,25 +738,27 @@ def combined(
     The pair (sdv, 2opt) is rejected: the 2-opt neighborhood is contained in
     the sdv one, so the combination adds nothing. The test is by name: at
     s = 3 the three DV families are one, and at s = 4 and 5 2dv's is sdv's,
-    yet 1dv+2opt and 2dv+2opt run there. Each k-opt phase after the
-    first gets the previous k-opt phase's result as its `local_optimum`.
+    yet 1dv+2opt and 2dv+2opt run there. Every argument is checked before
+    the first phase runs.
     """
+    if variant not in DV_VARIANTS:
+        raise ValueError(f"unknown DV variant {variant!r}")
     if vectorwise not in VECTORWISE:
         raise ValueError(f"unknown vectorwise heuristic {vectorwise!r}")
+    if v_variant not in V_VARIANTS:
+        raise ValueError(f"unknown v-opt variant {v_variant!r}")
     if variant == "sdv" and vectorwise == "2opt":
         raise ValueError("the combination sdv+2opt is rejected (no added neighborhood)")
     t0 = time.perf_counter()
     w = np.inf  # the first phase is not compared
     passes = ap2_calls = evals = 0
-    optimum = None  # the last k-opt phase's result
     for phase in count():
         if phase % 2 == 0:
             r = dv_search(inst, a, variant)
         elif vectorwise == "vopt":
             r = v_opt(inst, a, v_variant)
         else:
-            r = k_opt(inst, a, 2 if vectorwise == "2opt" else 3, local_optimum=optimum)
-            optimum = r.result
+            r = k_opt(inst, a, 2 if vectorwise == "2opt" else 3)
         if phase == 0:
             w0 = r.initial_weight
         x, a, w = w, r.result, r.final_weight

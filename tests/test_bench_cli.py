@@ -2,8 +2,10 @@
 
 import os
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -383,6 +385,21 @@ def test_cli_ap2(tmp_path):
     r = run_cli("ap2", "--matrix", str(m))
     assert r.returncode == 0
     assert r.stdout.splitlines() == ["cost 1", "perm 1 2"]
+
+
+def test_readme_cli_examples_parse():
+    # every `mapls ...` line of the README's fenced code blocks names verbs
+    # and flags the parser knows; nothing is run
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [line.strip() for block in blocks for line in block.splitlines()
+             if line.strip().startswith("mapls ")]
+    assert lines
+    for line in lines:
+        try:
+            cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
 
 
 def test_python_m_mapls_runs_the_cli(tmp_path):

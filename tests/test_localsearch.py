@@ -449,24 +449,28 @@ def test_dv_search_runs_no_checks(monkeypatch):
     assert set(calls) == {"_validate_perm", "isfinite"}
 
 
+def _perturbed(construct, seed):
+    return lambda inst: perturb(construct(inst), SplitMix64(seed))
+
+
+# (name, index, dv, vectorwise, construct) starts of `combined`
+_COMBINED_CASES = [("4r6", 1, "sdv", "vopt", _perturbed(trivial, 1))]  # dv, v-opt and dv again all improve
+# these reach a second k-opt phase
+_COMBINED_CASES += [(name, index, dv, "3opt", trivial)
+                    for name, index in (("3gp12", 1), ("3c20", 2)) for dv in DV_VARIANTS]
+_COMBINED_CASES += [("4r7", 2, "1dv", "2opt", greedy), ("4sr6", 2, "1dv", "2opt", trivial)]
+# and in these a k-opt phase after the first improves
+_COMBINED_CASES += [("4c6", 5, "1dv", "2opt", trivial), ("3gp12", 3, "1dv", "3opt", _perturbed(greedy, 1)),
+                    ("4gp7", 3, "2dv", "3opt", _perturbed(greedy, 2)),
+                    ("3sr15", 1, "1dv", "3opt", _perturbed(greedy, 1))]
+
+
 def test_combined_sdv_vopt_matches_reference():
     # combined's loop over the frozen dv_search and, for 2opt/3opt, the frozen
-    # plain k-opt: combined hands each later k-opt phase the last one's result
-    # as a local optimum, and that hint must not change the trajectory
-    def perturbed(construct, seed):
-        return lambda inst: perturb(construct(inst), SplitMix64(seed))
-
-    cases = [("4r6", 1, "sdv", "vopt", perturbed(trivial, 1))]  # dv, v-opt and dv again all improve
-    # these reach a second k-opt phase
-    cases += [(name, index, dv, "3opt", trivial)
-              for name, index in (("3gp12", 1), ("3c20", 2)) for dv in DV_VARIANTS]
-    cases += [("4r7", 2, "1dv", "2opt", greedy), ("4sr6", 2, "1dv", "2opt", trivial)]
-    # and in these a k-opt phase after the first improves
-    cases += [("4c6", 5, "1dv", "2opt", trivial), ("3gp12", 3, "1dv", "3opt", perturbed(greedy, 1)),
-              ("4gp7", 3, "2dv", "3opt", perturbed(greedy, 2)),
-              ("3sr15", 1, "1dv", "3opt", perturbed(greedy, 1))]
+    # plain k-opt: every phase, a later k-opt phase included, starts from the
+    # previous phase's result and nothing else
     later_gains = 0
-    for name, index, dv, vectorwise, construct in cases:
+    for name, index, dv, vectorwise, construct in _COMBINED_CASES:
         inst = generate(parse_instance_name(name, index))
         fam = build_family(dv, inst.s)
         start = construct(inst)
@@ -1406,23 +1410,42 @@ def test_combined_with_vopt_monotone(rng):
     r.result.validate()
 
 
-def test_combined_later_kopt_phases_screen_less(monkeypatch):
-    # a k-opt phase after the first screens first only the rows the dv phase
-    # before it moved: the report of plain k-opt phases, fewer candidates
-    plain_k_opt = localsearch.k_opt
-    cases = [("3sr15", 1, "1dv", "3opt", lambda inst: perturb(greedy(inst), SplitMix64(1))),
-             ("4gp7", 3, "2dv", "3opt", lambda inst: perturb(greedy(inst), SplitMix64(2))),
-             ("4c6", 5, "1dv", "2opt", trivial)]
-    for name, index, dv, vectorwise, construct in cases:
+def test_combined_reports_sum_its_phases():
+    # combined's passes, 2-AP calls and candidate evals are the sums over
+    # plain dv_search / k_opt / v_opt calls on its phases
+    for name, index, dv, vectorwise, construct in _COMBINED_CASES:
         inst = generate(parse_instance_name(name, index))
-        start = construct(inst)
-        r = combined(inst, start, dv, vectorwise)
-        monkeypatch.setattr(localsearch, "k_opt", lambda inst_, a, k, **_: plain_k_opt(inst_, a, k))
-        ref = combined(inst, start, dv, vectorwise)
-        monkeypatch.undo()
-        assert r.result == ref.result and r.final_weight == ref.final_weight
-        assert r.passes == ref.passes and r.ap2_calls == ref.ap2_calls
-        assert r.candidate_evals < ref.candidate_evals, name
+        a = start = construct(inst)
+        phases = []
+        while len(phases) < 2 or phases[-1].final_weight < phases[-2].final_weight - EPS:
+            if len(phases) % 2 == 0:
+                r = dv_search(inst, a, dv)
+            elif vectorwise == "vopt":
+                r = v_opt(inst, a)
+            else:
+                r = k_opt(inst, a, 2 if vectorwise == "2opt" else 3)
+            phases.append(r)
+            a = r.result
+        got = combined(inst, start, dv, vectorwise)
+        assert got.result == a and got.final_weight == phases[-1].final_weight, name
+        assert (got.passes, got.ap2_calls, got.candidate_evals) == (
+            sum(r.passes for r in phases), sum(r.ap2_calls for r in phases),
+            sum(r.candidate_evals for r in phases)), (name, index, dv, vectorwise)
+
+
+@pytest.mark.parametrize("variant, vectorwise, v_variant", [
+    ("sdv", "vopt", "bogus"), ("1dv", "3opt", "bogus"), ("bogus", "vopt", "improved"),
+    ("3dv", "2opt", "natural"), ("sdv", "4opt", "improved"),
+])
+def test_combined_checks_its_arguments_before_any_phase(variant, vectorwise, v_variant, monkeypatch):
+    def phase(*args, **kwargs):
+        raise AssertionError("a phase ran")
+
+    for search in ("dv_search", "k_opt", "v_opt"):
+        monkeypatch.setattr(localsearch, search, phase)
+    inst = generate(parse_instance_name("4c12", 1))
+    with pytest.raises(ValueError):
+        combined(inst, greedy(inst), variant, vectorwise, v_variant)
 
 
 # -- enumeration oracle -------------------------------------------------------

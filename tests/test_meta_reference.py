@@ -146,14 +146,12 @@ def _ref_combined(inst, a, variant, vectorwise, v_variant="improved"):
     a, w = r.result, r.final_weight
     w0 = r.initial_weight
     passes, ap2_calls, evals = r.passes, r.ap2_calls, r.candidate_evals
-    optimum = None  # the last k-opt phase's result
     while True:
         x = w
         if vectorwise == "vopt":
             rv = v_opt(inst, a, v_variant)
         else:
-            rv = k_opt(inst, a, 2 if vectorwise == "2opt" else 3, local_optimum=optimum)
-            optimum = rv.result
+            rv = k_opt(inst, a, 2 if vectorwise == "2opt" else 3)
         a, w = rv.result, rv.final_weight
         passes += rv.passes
         evals += rv.candidate_evals
@@ -256,7 +254,7 @@ COMBINED_SEARCHES = [
 ]
 
 
-# 3gp12 #1 from trivial runs a second k-opt phase, which takes a local optimum
+# 3gp12 #1 from trivial runs a second k-opt phase
 @pytest.mark.parametrize("name, index", [
     ("3r6", 1), ("3gp6", 2), ("4c5", 1), ("3g6", 1), ("4sr5", 2), ("3p7", 1), ("3gp12", 1),
 ])
