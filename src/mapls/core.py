@@ -21,8 +21,8 @@ flat pair-table index parts, or one factor per dimension), and
 `swap_weigh` weighs a grid of (row, column, mask) from the rows' outside
 parts and the columns' inside parts, each entry the float `batch` gives the
 same vector. The swap matrices of the dimensionwise searches
-(`swap_weight_matrix`, one mask), v-opt's chain steps and its pair-minimum
-table are all built from these two steps.
+(`swap_weight_matrix`, one mask) and v-opt's chain steps are both built
+from these two steps.
 
 Coordinates are 0-based everywhere in code; the text file formats speak
 1-based (see files.py).

@@ -129,17 +129,31 @@ def save_assignment(a: Assignment, path) -> None:
         dump_assignment(a, out)
 
 
-def load_assignment(path, s: int, n: int) -> Assignment:
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.split() for line in fh if line.strip()]
+def _parse_assignment(text: str, s: int, n: int) -> Assignment:
+    rows = [line.split() for line in text.splitlines() if line.strip()]
     if len(rows) != s - 1:
-        raise ValueError(f"{path}: expected {s - 1} permutation lines, got {len(rows)}")
+        raise ValueError(f"expected {s - 1} permutation lines, got {len(rows)}")
     perms = np.empty((s, n), dtype=np.int64)
     perms[0] = np.arange(n)
     for j, row in enumerate(rows, start=1):
         if len(row) != n:
-            raise ValueError(f"{path}: line {j} has {len(row)} entries, expected {n}")
-        perms[j] = np.asarray([int(t) - 1 for t in row])
+            raise ValueError(f"line {j} has {len(row)} entries, expected {n}")
+        for i, t in enumerate(row):
+            try:
+                perms[j, i] = int(t) - 1
+            except (ValueError, OverflowError):
+                raise ValueError(f"line {j}: entry {t!r} is not an integer in 1..{n}") from None
     a = Assignment(perms)
     a.validate()
     return a
+
+
+def load_assignment(path, s: int, n: int) -> Assignment:
+    """Read an assignment file of an s x n instance; every ValueError names
+    the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return _parse_assignment(text, s, n)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -26,9 +26,9 @@ Three families:
   previous result), the first sweep screens only the subsets holding a row
   changed since that optimum, and `candidate_evals` counts only the subsets
   screened or re-verified. Every skip is exact. v-opt weighs its chain
-  steps and its pair-minimum table through the weight model's swap kernels
-  (`swap_parts`, `swap_weigh`), from the rows' parts on its swap masks,
-  with no candidate coordinates built;
+  steps through the weight model's swap kernels (`swap_parts`,
+  `swap_weigh`), from the rows' parts on its swap masks, with no candidate
+  coordinates built;
 * ``combined``: alternate a dimensionwise and a vectorwise search until the
   assignment is a local optimum of both.
 """
@@ -60,10 +60,9 @@ EPS = 1e-9
 # and nothing else: a block is screened on the assignment at its start, so
 # this size decides which screens see which commits and so the results
 _BATCH_ROWS = 1_200_000
-# recombination rows per k-opt screen chunk and swap part entries per v-opt
-# table block (a block holds at least one table row). It bounds the screen's per-thread buffers (0.69 to 0.77 MB
-# for 3-opt at s = 3 to 5) whatever the block size, and no result depends
-# on it.
+# recombination rows per k-opt screen chunk. It bounds the screen's
+# per-thread buffers (0.69 to 0.77 MB for 3-opt at s = 3 to 5) whatever the
+# block size, and no result depends on it.
 # Smaller chunks pay numpy's per-call overhead more often: on a 2-vCPU VM,
 # chained 3-opt calls on 3c50, 4c15 and 3r40 took 0.90-0.98x the time of
 # whole-block screens at 2^16 to 2^18 rows a chunk, and 1.7-2.0x at 2^13
@@ -522,44 +521,6 @@ def _mask_moves(s: int, max_size: int) -> tuple[tuple, tuple]:
     return sides, tuple(tuple(j for j in range(s) if m[j] != m[0]) for m in sides)
 
 
-def _pair_minima(inst: Instance, parts: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(len(rows), len(cols)) table of the least weight, over the swap
-    masks, of swap(row r, row c, D), from the assignment's swap parts
-    (`swap_parts` of its vectors on the masks): each row's outside parts
-    against each column's inside parts. Weighed a block of table rows at a
-    time, each block at most _CHUNK_ROWS part entries (at least one row)."""
-    weigh = inst.weights.swap_weigh
-    out = np.empty((len(rows), len(cols)))
-    inside = parts[1][..., None, cols, :]
-    step = max(1, _CHUNK_ROWS // max(1, inside.size))
-    for lo in range(0, len(rows), step):
-        out[lo : lo + step] = weigh(inst, parts[0][..., rows[lo : lo + step], None, :], inside).min(axis=-1)
-    return out
-
-
-def _refresh_pair_minima(inst, parts, pair_min, changed, live) -> int:
-    """Recompute the table entries of the live rows that the `changed` rows
-    can have moved: the whole table row of a changed live row, and the
-    changed columns of every other live row. A row is live when its weight
-    exceeds the floor by more than EPS; the table rows of the others are
-    never read, so they are left stale. Returns the number of weights
-    evaluated."""
-    n = inst.n
-    fresh, kept = np.flatnonzero(changed & live), np.flatnonzero(~changed & live)
-    cols = np.flatnonzero(changed)
-    pair_min[fresh] = _pair_minima(inst, parts, fresh, np.arange(n))
-    pair_min[fresh, fresh] = np.inf
-    pair_min[kept[:, None], cols] = _pair_minima(inst, parts, kept, cols)
-    return (len(fresh) * n + len(kept) * len(cols)) * parts.shape[-1]
-
-
-def _dead_starts(w_rows: np.ndarray, pair_min: np.ndarray, floor: float) -> list[bool]:
-    """Per row, whether a chain from it fails its first gain test: its
-    weight is within EPS of the floor or of its row's least pair minimum."""
-    return [w - floor <= EPS or w - m <= EPS
-            for w, m in zip(w_rows.tolist(), pair_min.min(axis=1).tolist())]
-
-
 def v_opt(inst: Instance, a: Assignment, variant: str = "improved") -> LocalSearchReport:
     """Variable-depth interchange: from each starting vector, grow a chain of
     minimum-weight swaps while the accumulated gain stays positive, keeping
@@ -574,16 +535,10 @@ def v_opt(inst: Instance, a: Assignment, variant: str = "improved") -> LocalSear
     one improves nothing. Two exact skip rules also leave the result, final
     weight and pass count identical to the unskipped search:
 
-    * dead starts: pair_min[c, m] is the least weight row c's vector can
-      take by swapping in row m's coordinates on one of the swap masks. A
-      start whose weight exceeds its row minimum by no more than EPS fails
-      the first-step gain test, so it is skipped. Pair minima are at least
-      the instance weight floor, so a start within EPS of the floor is
-      dead whatever its table row says: only the live rows, above it, have
-      their table rows weighed. After a start that changed the assignment,
-      the rows of the changed live rows and the changed columns of the
-      other live rows are recomputed, and the list of dead starts with
-      them.
+    * floor skip: no swap takes a vector below the instance weight floor,
+      so a start within EPS of it fails the first-step gain test, and is
+      skipped without weighing anything. Every other start weighs its
+      first step, whose gain test ends a chain that cannot gain.
     * chain cut: rows the chain has left never change again, and the
       current and available rows weigh at least the floor. Once that lower
       bound on every later total reaches the chain's best total (compared
@@ -592,8 +547,8 @@ def v_opt(inst: Instance, a: Assignment, variant: str = "improved") -> LocalSear
 
     Everything is weighed through the model's swap kernels: the
     assignment's swap parts on the masks are taken once per change, and
-    the pair-minimum table and every chain step weigh rows' outside parts
-    against columns' inside parts. The available rows of a chain are kept
+    every chain step weighs the current row's outside parts against the
+    available rows' inside parts. The available rows of a chain are kept
     compact, in ascending order, with their inside parts on each mask; a
     row that leaves shifts the later ones down, so the first minimum of a
     step's (row, mask) grid is still found in row-major order. Each step
@@ -607,9 +562,9 @@ def v_opt(inst: Instance, a: Assignment, variant: str = "improved") -> LocalSear
     exact (the same float as summing them afresh), and summed afresh
     otherwise.
 
-    candidate_evals counts every weight evaluated: the table entries of
-    live rows, each chain step's grid (also the grid of a step the chain
-    cut then ends), and the one weight of a chain that runs out of rows.
+    candidate_evals counts every weight evaluated: each chain step's grid
+    (also the grid of a step the chain cut or the gain test then ends), and
+    the one weight of a chain that runs out of rows.
     The chain compares an incrementally updated total; final_weight is the
     sum of the re-evaluated row weights, so it carries no accumulated
     rounding.
@@ -632,20 +587,17 @@ def v_opt(inst: Instance, a: Assignment, variant: str = "improved") -> LocalSear
     w0 = total
     floor = inst.min_weight_floor()
     idx = np.arange(n)
-    pair_min = np.full((n, n), np.inf)
-    # the first table: every row counts as changed
     parts = swap_parts(perms, sel).swapaxes(-1, -2)
-    evals = _refresh_pair_minima(inst, parts, pair_min, np.ones(n, dtype=bool), w_rows - floor > EPS)
-    dead = _dead_starts(w_rows, pair_min, floor)
-    passes = clean = 0
+    passes = clean = evals = 0
     c0 = n - 1
     while clean < n:
         c0 = (c0 + 1) % n
         if c0 == 0:
             passes += 1
-        if dead[c0]:
+        w_cur = float(w_rows[c0])
+        if w_cur - floor <= EPS:
             clean += 1
-            continue  # the first step would not gain: nothing changes
+            continue  # no swap takes a vector below the floor: nothing changes
         start_perms = best_perms = perms.copy()
         best_rows = w_rows.copy()
         best_total = total
@@ -660,7 +612,6 @@ def v_opt(inst: Instance, a: Assignment, variant: str = "improved") -> LocalSear
             w_avail = w_rows[avail]
         t = n - 1
         c_row = c0
-        w_cur = float(w_rows[c0])
         gain = 0.0
         pending = None  # the step taken last, until its w(v-bar) is read
         while True:
@@ -714,10 +665,7 @@ def v_opt(inst: Instance, a: Assignment, variant: str = "improved") -> LocalSear
             clean += 1
         else:
             clean = 0
-            changed = (perms != start_perms).any(axis=0)
             parts = swap_parts(perms, sel).swapaxes(-1, -2)
-            evals += _refresh_pair_minima(inst, parts, pair_min, changed, w_rows - floor > EPS)
-            dead = _dead_starts(w_rows, pair_min, floor)
     return _report(a, w0, float(w_rows.sum()), passes, 0, evals, t0)
 
 

@@ -138,7 +138,8 @@ def _generations(inst, a0, ls, cfg, c, perturb_start):
     carriers, perturbing = [a0] * c, perturb_start
     generations = 0
     while True:
-        parents = [a for i, a in enumerate(carriers) for _ in range(c - i)]
+        # drawn one at a time: a generation holds c(c+1)/2 of them
+        parents = (a for i, a in enumerate(carriers) for _ in range(c - i))
         results = []
         for parent in parents:
             if budget.exhausted():
@@ -148,7 +149,7 @@ def _generations(inst, a0, ls, cfg, c, perturb_start):
         results.sort(key=lambda wr: wr[0])
         if results and results[0][0] < best_w - EPS:
             best, best_w = results[0][1].copy(), results[0][0]
-        if len(results) < len(parents):
+        if len(results) < c * (c + 1) // 2:
             return budget.result(best, best_w, generations)
         generations += 1
         if best_w - EPS <= budget.bound:

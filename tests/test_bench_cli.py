@@ -433,6 +433,30 @@ def test_cli_exit_codes(tmp_path):
     assert r.returncode == 2 and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["bench", "--names", "3r6", "--indices", "1.."], "--indices"),
+    (["bench", "--names", "3r6", "--indices", "a"], "--indices"),
+    (["bench", "--names", "3r6", "--indices", "1,x"], "--indices"),
+    (["solve", "--name", "3r6", "--time", "5m"], "--time"),
+    (["bench", "--names", "3r6", "--time", "x"], "--time"),
+    (["solve", "--name", "3r6", "--iters", "x"], "--iters"),
+])
+def test_cli_malformed_options_are_usage_errors(argv, option, capsys):
+    # exit 1 for a usage error, naming the option, before anything runs
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert f"argument {option}: invalid" in capsys.readouterr().err
+
+
+def test_cli_parses_indices_and_durations():
+    parse = cli.build_parser().parse_args
+    assert parse(["bench", "--names", "3r6", "--indices", "2..4"]).indices == [2, 3, 4]
+    assert parse(["bench", "--names", "3r6", "--indices", "1,3"]).indices == [1, 3]
+    for text, seconds in (("10s", 10.0), ("500ms", 0.5), ("2.5", 2.5)):
+        assert parse(["solve", "--name", "3r6", "--time", text]).time == seconds
+
+
 @pytest.mark.parametrize("args", [
     ("nbhd", "--variant", "3opt", "--s", "0", "--n", "5"),
     ("nbhd", "--variant", "sdv+2opt", "--s", "2", "--n", "4"),

@@ -139,6 +139,23 @@ def test_load_assignment_errors(tmp_path):
         load_assignment(path, 3, 3)  # not a permutation
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1 2 3\n", "expected 2 permutation lines, got 1"),
+    ("1 2 3\n1 2\n", "line 2 has 2 entries, expected 3"),
+    ("1 2 3\n1 x 3\n", "line 2: entry 'x' is not an integer in 1..3"),
+    ("1.5 2 3\n1 2 3\n", "line 1: entry '1.5' is not an integer in 1..3"),
+    ("1 2 3\n1 2 " + "9" * 30 + "\n", f"line 2: entry '{'9' * 30}' is not an integer in 1..3"),
+    ("1 2 3\n1 1 3\n", "not a valid assignment (rows must be permutations, row 0 identity)"),
+    ("1 2 3\n1 2 4\n", "not a valid assignment (rows must be permutations, row 0 identity)"),
+])
+def test_load_assignment_errors_name_the_file(text, message, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_assignment(path, 3, 3)
+    assert str(err.value) == f"{path}: {message}"
+
+
 @pytest.mark.parametrize("header", ["MAP 3 -5 random 7", "MAP 3 0 random 7", "MAP -1 4 random 7"])
 def test_load_instance_rejects_empty_random_shapes(header, tmp_path):
     path = tmp_path / "bad.map"

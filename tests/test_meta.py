@@ -1,6 +1,7 @@
 """Chain and Multichain metaheuristics."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -156,6 +157,22 @@ def test_multichain_keeps_the_best_of_a_cut_generation():
     assert (res.best_weight, res.iterations, res.ls_calls) == (1246, 0, 6)
     assert res.best == reports[2].result
     assert assignment_weight(inst, res.best) == 1246
+
+
+def test_wide_multichain_does_not_hold_a_generation_of_parents():
+    # c = 2000 makes a generation of 2,001,000 searches; with 3 of them
+    # allowed, the run must not build a list of every parent first
+    inst = generate(parse_instance_name("3c8", 1))
+    a0 = trivial(inst)
+    cfg = MetaConfig("multichain", c=2000, iteration_cap=3, rng_seed=0)
+    tracemalloc.start()
+    try:
+        res = multichain(inst, a0, make_local_search("none", 3), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.ls_calls, res.iterations) == (3, 0)
+    assert peak < 1 << 20, f"peak {peak} bytes"
 
 
 def test_multichain_deterministic_and_monotone():
